@@ -40,6 +40,7 @@ from .funcmodel import (
     powersum_integral,
 )
 from .bounds import (
+    THEOREMS,
     BoundReport,
     HolderPair,
     bound_ms,

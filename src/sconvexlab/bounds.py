@@ -19,6 +19,10 @@ Three families of right-hand sides live here:
 * bound_prior and the Hermite-Hadamard / Bullen chains - classical results
   used as cross-checks and reduction oracles.
 
+THEOREMS is the registry: one entry per bound theorem, naming its
+hypothesis and instance family and evaluating its two sides.
+evaluate_bound, the bound suites and the command line all read it.
+
 Hypothesis certification is the caller's duty throughout; see the harness.
 All evaluators are pure.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError, MissingParam
 from .funcmodel import FuncHandle, as_s
@@ -35,9 +39,6 @@ from .means import OrderedInterval, arithmetic_mean, gen_log_mean
 from .quadrature import integrate
 
 DEFAULT_BOUND_TOL = 1e-9
-
-PRIOR_KINDS = ("DA", "PP", "PP_CONCAVE", "ADK")
-MS_KINDS = ("S1", "S2", "S3")
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class HolderPair:
     p: float = 0.0
 
     def __post_init__(self):
+        if self.q is None:
+            raise MissingParam("Holder exponent q > 1 is required")
         if not (math.isfinite(self.q) and self.q > 1.0):
             raise DomainError(f"Holder exponent requires q > 1, got {self.q}")
         object.__setattr__(self, "p", self.q / (self.q - 1.0))
@@ -69,10 +72,19 @@ class BoundReport:
     tol: float
 
 
-def make_report(theorem_id, iv, s, q, lhs, rhs, tol=DEFAULT_BOUND_TOL) -> BoundReport:
+def verdict(lhs: float, rhs: float, tol: float) -> str:
+    """Classify lhs <= rhs as "ok", "warning" or "violation".
+
+    With margin = rhs - lhs and allowance = max(tol, tol * |rhs|), a case
+    holds when margin >= -allowance.  Margins in [-allowance, 0) are
+    floating-point noise and count as warnings; lower ones are violations.
+    """
     margin = rhs - lhs
-    holds = margin >= -max(tol, tol * abs(rhs))
-    return BoundReport(theorem_id, iv.a, iv.b, s, q, lhs, rhs, margin, holds, tol)
+    if margin >= 0.0:
+        return "ok"
+    if margin >= -max(tol, tol * abs(rhs)):
+        return "warning"
+    return "violation"
 
 
 def mean_value(f: FuncHandle, iv: OrderedInterval) -> float:
@@ -111,9 +123,13 @@ def lemma_identity_rhs(f: FuncHandle, iv: OrderedInterval) -> float:
     return 0.25 * integrate(first, 0.0, 1.0).value + 0.25 * integrate(second, 0.0, 1.0).value
 
 
+def se2_weights(s: float) -> tuple[float, float]:
+    """The endpoint bound's two weights before scaling by 2^(s+2)(s+1)(s+2)."""
+    return s * 2.0 ** (s + 1.0) + s + 2.0, 2.0 ** (s + 2.0) - s - 2.0
+
+
 def _se2_coeffs(a: float, b: float, s: float) -> tuple[float, float]:
-    pow1 = s * 2.0 ** (s + 1.0) + s + 2.0
-    pow2 = 2.0 ** (s + 2.0) - s - 2.0
+    pow1, pow2 = se2_weights(s)
     denom = 2.0 ** (s + 2.0) * (s + 1.0) * (s + 2.0)
     return (b * pow1 + a * pow2) / denom, (a * pow1 + b * pow2) / denom
 
@@ -141,6 +157,8 @@ def bound_se6(df_a: float, df_b: float, iv: OrderedInterval, s, q: float) -> flo
     The theorem is stated for q > 1; q = 1 is accepted because the bound
     then collapses algebraically to bound_se2.
     """
+    if q is None:
+        raise MissingParam("power-mean bound requires q >= 1")
     sv = as_s(s)
     if not q >= 1.0:
         raise DomainError(f"power-mean bound requires q >= 1, got {q}")
@@ -202,12 +220,18 @@ def hadamard_s_triple(f: FuncHandle, u: float, v: float, s) -> tuple[float, floa
     sv = as_s(s)
     if not (0.0 <= u < v):
         raise DomainError(f"s-convex chain requires 0 <= u < v, got ({u}, {v})")
+    try:
+        f_u = f.value(u)
+    except (ZeroDivisionError, ValueError):
+        f_u = math.nan
+    if not math.isfinite(f_u):
+        raise DomainError(f"s-convex chain needs f finite at u = {u}; the function is unbounded or undefined there")
     left = 2.0 ** (sv - 1.0) * f.value(0.5 * (u + v))
     if u > 0.0 and f.exact_integral is not None:
         mid = f.exact_integral(OrderedInterval(u, v)) / (v - u)
     else:
         mid = integrate(f.value, u, v).value / (v - u)
-    right = (f.value(u) + f.value(v)) / (sv + 1.0)
+    right = (f_u + f.value(v)) / (sv + 1.0)
     return left, mid, right
 
 
@@ -256,6 +280,84 @@ def bound_prior(kind: str, f: FuncHandle, iv: OrderedInterval, q: Optional[float
     raise DomainError(f"unknown prior-art bound kind {kind!r}")
 
 
+def chain_leg(left: float, mid: float, right: float) -> tuple[float, float]:
+    """The tighter leg of a chain left <= mid <= right, as (lhs, rhs)."""
+    return (left, mid) if mid - left <= right - mid else (mid, right)
+
+
+def _endpoint_sides(bound):
+    """Sides of a Bullen-defect theorem whose bound takes |f'(a)| and |f'(b)|."""
+
+    def sides(f, a, b, s, q):
+        iv = OrderedInterval(a, b)
+        return bullen_type_defect(f, iv), bound(abs(f.derivative(a)), abs(f.derivative(b)), iv, s, q)
+
+    return sides
+
+
+def _trapezoid_sides(kind):
+    def sides(f, a, b, s, q):
+        iv = OrderedInterval(a, b)
+        return trapezoid_defect(f, iv), bound_prior(kind, f, iv, q)
+
+    return sides
+
+
+def _bullen_sides(f, a, b, s, q):
+    iv = OrderedInterval(a, b)
+    return mean_value(f, iv), bullen_classic_rhs(f, iv)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One bound theorem: its hypothesis, instance family and two sides.
+
+    The theorem assumes its hypothesis function ("f", "|f'|" or "|f'|^q")
+    s-convex, or concave when concave; s = 1 unless takes_s.  Reports carry
+    s when takes_s and q when uses_q.  family names the harness's instance
+    generator.  sides(f, a, b, s, q) gives (lhs, rhs); for a chain theorem,
+    its tighter leg.
+    """
+
+    id: str
+    takes_s: bool
+    hypothesis: str
+    concave: bool
+    family: str
+    sides: Callable[..., tuple[float, float]]
+
+    @property
+    def uses_q(self) -> bool:
+        return self.hypothesis == "|f'|^q"
+
+
+# The sides call the evaluators through their module-global names, so that
+# replacing a module attribute (as tests and tracing do) takes effect.
+THEOREMS = {th.id: th for th in (
+    Theorem("se2", True, "|f'|", False, "dconvex+sterm",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_se2(da, db, iv, s))),
+    Theorem("se5", True, "|f'|^q", False, "dconvex+sterm",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q)))),
+    Theorem("se6", True, "|f'|^q", False, "dconvex+sterm",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q))),
+    Theorem("s1", False, "|f'|", False, "dconvex",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S1", da, db, iv))),
+    Theorem("s2", False, "|f'|^q", False, "dconvex",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S2", da, db, iv, q))),
+    Theorem("s3", False, "|f'|^q", False, "dconvex",
+            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S3", da, db, iv, q))),
+    Theorem("da", False, "|f'|", False, "dconvex", _trapezoid_sides("DA")),
+    Theorem("pp", False, "|f'|^q", False, "dconvex", _trapezoid_sides("PP")),
+    Theorem("ppc", False, "|f'|^q", True, "concave_power", _trapezoid_sides("PP_CONCAVE")),
+    Theorem("adk", False, "|f'|^q", True, "concave_power", _trapezoid_sides("ADK")),
+    Theorem("hh", False, "f", False, "convex_f",
+            lambda f, a, b, s, q: chain_leg(*hadamard_triple(f, OrderedInterval(a, b)))),
+    Theorem("hhs", True, "f", False, "s_power",
+            lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, s))),
+    Theorem("bullen", False, "f", False, "convex_f", _bullen_sides),
+)}
+
+
 def evaluate_bound(
     theorem: str,
     f: FuncHandle,
@@ -269,52 +371,13 @@ def evaluate_bound(
     Defect-style theorems report lhs = defect, rhs = bound.  Chain theorems
     (hh, hhs, bullen) report the tighter leg of the chain as (lhs, rhs).
     """
-    tid = theorem.lower()
-    df_a, df_b = abs(f.derivative(iv.a)), abs(f.derivative(iv.b))
-
-    if tid in ("se2", "se5", "se6"):
-        if s is None:
-            raise MissingParam(f"{tid} requires s")
-        lhs = bullen_type_defect(f, iv)
-        if tid == "se2":
-            rhs = bound_se2(df_a, df_b, iv, s)
-        elif tid == "se5":
-            if q is None:
-                raise MissingParam("se5 requires q > 1")
-            rhs = bound_se5(df_a, df_b, iv, s, HolderPair(q))
-        else:
-            if q is None:
-                raise MissingParam("se6 requires q >= 1")
-            rhs = bound_se6(df_a, df_b, iv, s, q)
-        return make_report(tid, iv, as_s(s), q, lhs, rhs, tol)
-
-    if tid in ("s1", "s2", "s3"):
-        lhs = bullen_type_defect(f, iv)
-        rhs = bound_ms(tid.upper(), df_a, df_b, iv, q)
-        return make_report(tid, iv, None, q if tid != "s1" else None, lhs, rhs, tol)
-
-    if tid in ("da", "pp", "ppc", "adk"):
-        kind = {"da": "DA", "pp": "PP", "ppc": "PP_CONCAVE", "adk": "ADK"}[tid]
-        lhs = trapezoid_defect(f, iv)
-        rhs = bound_prior(kind, f, iv, q)
-        q_used = None if tid == "da" else q
-        return make_report(tid, iv, None, q_used, lhs, rhs, tol)
-
-    if tid == "bullen":
-        return make_report(tid, iv, None, None, mean_value(f, iv), bullen_classic_rhs(f, iv), tol)
-
-    if tid in ("hh", "hhs"):
-        if tid == "hh":
-            left, mid, right = hadamard_triple(f, iv)
-        else:
-            if s is None:
-                raise MissingParam("hhs requires s")
-            left, mid, right = hadamard_s_triple(f, iv.a, iv.b, s)
-        if mid - left <= right - mid:
-            lhs, rhs = left, mid
-        else:
-            lhs, rhs = mid, right
-        sv = as_s(s) if tid == "hhs" else None
-        return make_report(tid, iv, sv, None, lhs, rhs, tol)
-
-    raise DomainError(f"unknown theorem id {theorem!r}")
+    th = THEOREMS.get(theorem.lower())
+    if th is None:
+        raise DomainError(f"unknown theorem id {theorem!r}")
+    if th.takes_s and s is None:
+        raise MissingParam(f"{th.id} requires s")
+    lhs, rhs = th.sides(f, iv.a, iv.b, s, q)
+    s_row = as_s(s) if th.takes_s else None
+    q_row = q if th.uses_q else None
+    holds = verdict(lhs, rhs, tol) != "violation"
+    return BoundReport(th.id, iv.a, iv.b, s_row, q_row, lhs, rhs, rhs - lhs, holds, tol)

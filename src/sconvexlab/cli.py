@@ -21,8 +21,9 @@ bare "x^2" is rejected (the mandatory coefficient keeps the grammar LL(1)
 with no lookahead ambiguity between names and malformed numbers).
 
 Exit codes: 0 success with no violations, 1 at least one violated
-inequality, 2 usage, parse or domain errors.  Numeric output is printed
-with 15 significant digits, enough for a full double round trip.
+inequality, 2 usage, parse, domain or floating-point overflow errors.
+Numeric output is printed with 15 significant digits, enough for a full
+double round trip.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Optional
 from .errors import LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .harness import (
-    BOUND_THEOREMS,
     SuiteConfig,
     SuiteReport,
     render_csv,
@@ -47,7 +47,7 @@ from .harness import (
     write_report,
 )
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
-from .bounds import bullen_type_defect, evaluate_bound
+from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _WS = re.compile(r"\s*")
@@ -145,18 +145,15 @@ def _cmd_bound(args) -> int:
 
 
 def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
-    if name == "identity":
-        return [run_identity_suite(cfg)]
-    if name == "bounds":
-        return [run_bound_suite(cfg, th) for th in BOUND_THEOREMS]
-    if name == "reductions":
-        return [run_reduction_suite(cfg)]
-    if name == "props":
-        return [run_prop_crosscheck_suite(cfg)]
-    reports = [run_identity_suite(cfg)]
-    reports.extend(run_bound_suite(cfg, th) for th in BOUND_THEOREMS)
-    reports.append(run_reduction_suite(cfg))
-    reports.append(run_prop_crosscheck_suite(cfg))
+    reports = []
+    if name in ("identity", "all"):
+        reports.append(run_identity_suite(cfg))
+    if name in ("bounds", "all"):
+        reports.extend(run_bound_suite(cfg, th) for th in THEOREMS)
+    if name in ("reductions", "all"):
+        reports.append(run_reduction_suite(cfg))
+    if name in ("props", "all"):
+        reports.append(run_prop_crosscheck_suite(cfg))
     return reports
 
 
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("bound", help="evaluate one inequality on explicit inputs")
-    p.add_argument("--theorem", required=True, choices=[t.lower() for t in BOUND_THEOREMS])
+    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate one bound over an s grid")
-    p.add_argument("--theorem", required=True, choices=[t.lower() for t in BOUND_THEOREMS])
+    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
     p.add_argument("--f", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -297,7 +294,7 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except LabError as exc:
+    except (LabError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

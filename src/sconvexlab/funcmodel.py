@@ -148,13 +148,6 @@ def _grid_values(phi, points: np.ndarray) -> np.ndarray:
     return np.array([phi(float(v)) for v in points.ravel()], dtype=float).reshape(points.shape)
 
 
-def _check_grid_args(lo: float, hi: float, grid: tuple[int, int, int]):
-    if not 0.0 < lo < hi:
-        raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
-    if len(grid) != 3 or any(int(n) < 8 for n in grid):
-        raise DomainError(f"certification grid needs >= 8 points per axis, got {grid}")
-
-
 def certify_s_convex(
     phi: Callable[[float], float],
     s,
@@ -168,8 +161,29 @@ def certify_s_convex(
     floating-point slack.  Raises EvalError if phi is non-finite anywhere
     on the grid.
     """
-    sv = as_s(s)
-    _check_grid_args(lo, hi, grid)
+    return _certify(phi, as_s(s), lo, hi, grid, concave=False)
+
+
+def certify_concave(
+    phi: Callable[[float], float],
+    lo: float,
+    hi: float,
+    grid: tuple[int, int, int] = DEFAULT_GRID,
+) -> CertResult:
+    """Check ordinary concavity on the same kind of sample grid."""
+    return _certify(phi, 1.0, lo, hi, grid, concave=True)
+
+
+def _certify(phi, s: float, lo: float, hi: float, grid, concave: bool) -> CertResult:
+    """Grid check of phi(mix) <= t^s phi(x) + (1-t)^s phi(y), or of its
+    reverse when concave (then s = 1 and the right side is the chord).
+
+    The witness is (x, y, t, phi(mix), right side).
+    """
+    if not 0.0 < lo < hi:
+        raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
+    if len(grid) != 3 or any(int(n) < 8 for n in grid):
+        raise DomainError(f"certification grid needs >= 8 points per axis, got {grid}")
     nx, ny, nt = (int(n) for n in grid)
     xs = np.linspace(lo, hi, nx)
     ys = xs if ny == nx else np.linspace(lo, hi, ny)
@@ -182,43 +196,22 @@ def certify_s_convex(
     if not (np.isfinite(px).all() and np.isfinite(py).all() and np.isfinite(pmix).all()):
         raise EvalError("function returned a non-finite value on the certification grid")
 
-    rhs = ts[None, None, :] ** sv * px[:, None, None] + (1.0 - ts[None, None, :]) ** sv * py[None, :, None]
-    excess = pmix - rhs - CERT_TOL * (1.0 + np.abs(rhs))
+    rhs = ts[None, None, :] ** s * px[:, None, None] + (1.0 - ts[None, None, :]) ** s * py[None, :, None]
+    # A full-grid array (183 KB at the default grid) sits near the C
+    # allocator's trim threshold, where each extra one can cost fresh page
+    # faults, so the slack is built in place and the excess reuses mix.
+    slack = np.abs(rhs)
+    slack += 1.0
+    slack *= CERT_TOL
+    excess = np.subtract(pmix, rhs, out=mix)
+    if concave:
+        np.negative(excess, out=excess)
+    excess -= slack
     samples = nx * ny * nt
     if not (excess > 0.0).any():
         return CertResult(True, None, samples)
     i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
     witness = (float(xs[i]), float(ys[j]), float(ts[k]), float(pmix[i, j, k]), float(rhs[i, j, k]))
-    return CertResult(False, witness, samples)
-
-
-def certify_concave(
-    phi: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid: tuple[int, int, int] = DEFAULT_GRID,
-) -> CertResult:
-    """Check ordinary concavity on the same kind of sample grid."""
-    _check_grid_args(lo, hi, grid)
-    nx, ny, nt = (int(n) for n in grid)
-    xs = np.linspace(lo, hi, nx)
-    ys = np.linspace(lo, hi, ny)
-    ts = np.linspace(0.0, 1.0, nt)
-
-    px = _grid_values(phi, xs)
-    py = _grid_values(phi, ys)
-    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
-    pmix = _grid_values(phi, mix)
-    if not (np.isfinite(px).all() and np.isfinite(py).all() and np.isfinite(pmix).all()):
-        raise EvalError("function returned a non-finite value on the certification grid")
-
-    chord = ts[None, None, :] * px[:, None, None] + (1.0 - ts[None, None, :]) * py[None, :, None]
-    excess = chord - pmix - CERT_TOL * (1.0 + np.abs(chord))
-    samples = nx * ny * nt
-    if not (excess > 0.0).any():
-        return CertResult(True, None, samples)
-    i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    witness = (float(xs[i]), float(ys[j]), float(ts[k]), float(pmix[i, j, k]), float(chord[i, j, k]))
     return CertResult(False, witness, samples)
 
 

@@ -18,10 +18,9 @@ Four suites:
 Case i draws everything from sub-seed (seed XOR i), so parallel and serial
 runs would agree and identical configs produce identical reports.
 
-Margins follow one convention: a case holds when margin >= -tol.  For bound
-cases margin is rhs - lhs and values in [-tol, 0) count as warnings
-(numerical noise), not violations; for identity, reduction and cross-check
-cases margin is the negated (relative) discrepancy.
+For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
+identity, reduction and cross-check cases margin is the negated (relative)
+discrepancy and a case holds when margin >= -tol.
 """
 
 from __future__ import annotations
@@ -49,24 +48,21 @@ from .funcmodel import (
 )
 from .means import OrderedInterval
 from .bounds import (
+    THEOREMS,
     HolderPair,
+    Theorem,
     bound_ms,
-    bound_prior,
     bound_se2,
     bound_se5,
     bound_se6,
-    bullen_classic_rhs,
     bullen_defect_signed,
     bullen_type_defect,
-    hadamard_s_triple,
-    hadamard_triple,
     lemma_identity_rhs,
-    mean_value,
-    trapezoid_defect,
+    verdict,
 )
 from .means_bounds import prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
 
-BOUND_THEOREMS = ("SE2", "SE5", "SE6", "S1", "S2", "S3", "DA", "PP", "PPC", "ADK", "HH", "HHS", "BULLEN")
+BOUND_THEOREMS = tuple(tid.upper() for tid in THEOREMS)
 
 _PROP_POWER_S = tuple(round(0.1 * k, 1) for k in range(1, 11))
 _PROP_RECIP_S = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -152,33 +148,15 @@ def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[st
     )
 
 
-def _bound_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
-    margin = rhs - lhs
-    allowance = max(tol, tol * abs(rhs))
-    if margin >= 0.0:
-        status = "ok"
-    elif margin >= -allowance:
-        status = "warning"
-    else:
-        status = "violation"
-    a = iv.a if iv is not None else None
-    b = iv.b if iv is not None else None
-    return CaseRow(case, theorem, a, b, s, q, lhs, rhs, margin, status)
+def _bound_row(case: int, theorem: str, a: float, b: float, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
+    return CaseRow(case, theorem, a, b, s, q, lhs, rhs, rhs - lhs, verdict(lhs, rhs, tol))
 
 
 def _match_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
     """Row for an equality check: margin is the negated relative discrepancy."""
     margin = -abs(lhs - rhs) / (1.0 + abs(lhs))
     status = "ok" if margin >= -tol else "violation"
-    a = iv.a if iv is not None else None
-    b = iv.b if iv is not None else None
-    return CaseRow(case, theorem, a, b, s, q, lhs, rhs, margin, status)
-
-
-def _skip_row(case: int, theorem: str, iv, s, q) -> CaseRow:
-    a = iv.a if iv is not None else None
-    b = iv.b if iv is not None else None
-    return CaseRow(case, theorem, a, b, s, q, None, None, None, "skipped")
+    return CaseRow(case, theorem, iv.a, iv.b, s, q, lhs, rhs, margin, status)
 
 
 def run_identity_suite(
@@ -249,112 +227,68 @@ def _sconvex_term_instance(seed: int, s: float, cfg: SuiteConfig) -> tuple[FuncH
     return handle_from_power_sum(f), sample_interval(rng, cfg.gen_config())
 
 
+def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: float, q: float,
+                   cfg: SuiteConfig) -> tuple[FuncHandle, float, float, float]:
+    """Case i's instance from the theorem's family, as (f, a, b, s)."""
+    family = th.family
+    if family == "s_power":
+        if i == 0:
+            # Sharp instance: the endpoint-average constant is attained.
+            return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
+        f, u, v = _s_power_instance(inst_seed, s, cfg)
+        return f, u, v, s
+    if family == "concave_power":
+        f, iv = _concave_power_instance(inst_seed, q, cfg)
+    elif family == "convex_f":
+        f, iv = _convex_f_instance(inst_seed, cfg)
+    elif family == "dconvex+sterm" and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
+        f, iv = _sconvex_term_instance(inst_seed, s, cfg)
+    else:
+        f, iv = sample_dconvex_instance(random.Random(inst_seed), cfg.gen_config())
+    return f, iv.a, iv.b, s
+
+
+def _hypothesis_function(th: Theorem, f: FuncHandle, q: float):
+    """The function the theorem assumes s-convex or concave: f, |f'| or |f'|^q."""
+    if th.hypothesis == "f":
+        return f.value
+    df = f.derivative
+    if th.hypothesis == "|f'|":
+        return lambda x: np.abs(df(x))
+    return lambda x: np.abs(df(x)) ** q
+
+
 def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
     """Assert one inequality over certified instances; skip failed hypotheses."""
-    theorem = theorem.upper()
-    if theorem not in BOUND_THEOREMS:
+    th = THEOREMS.get(theorem.lower())
+    if th is None:
         raise DomainError(f"unknown bound suite {theorem!r}")
     t0 = time.perf_counter()
     rows: list[CaseRow] = []
     grid = cfg.gen_config().grid
 
     for i in range(cfg.cases):
-        sub = cfg.seed ^ i
-        rng = random.Random(sub)
+        rng = random.Random(cfg.seed ^ i)
         s = rng.choice(cfg.s_grid)
         q = rng.choice(cfg.q_grid)
         inst_seed = rng.getrandbits(32)
+        f, a, b, s = _draw_instance(th, i, rng, inst_seed, s, q, cfg)
+        s_row = s if th.takes_s else None
+        q_row = q if th.uses_q else None
 
-        if theorem in ("SE2", "SE5", "SE6"):
-            q_eff = 1.0 if theorem == "SE2" else q
-            if s * q_eff >= 1.0 and rng.random() < 0.2:
-                f, iv = _sconvex_term_instance(inst_seed, s, cfg)
-            else:
-                f, iv = sample_dconvex_instance(random.Random(inst_seed), cfg.gen_config())
-            df = f.derivative
-            if theorem == "SE2":
-                cert = certify_s_convex(lambda x: np.abs(df(x)), s, iv.a, iv.b, grid)
-            else:
-                cert = certify_s_convex(lambda x: np.abs(df(x)) ** q, s, iv.a, iv.b, grid)
-            if not cert.certified:
-                rows.append(_skip_row(i, theorem.lower(), iv, s, q))
-                continue
-            lhs = bullen_type_defect(f, iv)
-            df_a, df_b = abs(df(iv.a)), abs(df(iv.b))
-            if theorem == "SE2":
-                rhs, q_row = bound_se2(df_a, df_b, iv, s), None
-            elif theorem == "SE5":
-                rhs, q_row = bound_se5(df_a, df_b, iv, s, HolderPair(q)), q
-            else:
-                rhs, q_row = bound_se6(df_a, df_b, iv, s, q), q
-            rows.append(_bound_row(i, theorem.lower(), iv, s, q_row, lhs, rhs, cfg.bound_tol))
+        phi = _hypothesis_function(th, f, q)
+        lo = a if a > 0.0 else 1e-3 * b
+        if th.concave:
+            cert = certify_concave(phi, lo, b, grid)
+        else:
+            cert = certify_s_convex(phi, s if th.takes_s else 1.0, lo, b, grid)
+        if not cert.certified:
+            rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
+            continue
+        lhs, rhs = th.sides(f, a, b, s, q)
+        rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, cfg.bound_tol))
 
-        elif theorem in ("S1", "S2", "S3", "DA", "PP"):
-            f, iv = sample_dconvex_instance(random.Random(inst_seed), cfg.gen_config())
-            df = f.derivative
-            power = 1.0 if theorem in ("S1", "DA") else q
-            cert = certify_s_convex(lambda x: np.abs(df(x)) ** power, 1.0, iv.a, iv.b, grid)
-            if not cert.certified:
-                rows.append(_skip_row(i, theorem.lower(), iv, None, q))
-                continue
-            df_a, df_b = abs(df(iv.a)), abs(df(iv.b))
-            if theorem in ("S1", "S2", "S3"):
-                lhs = bullen_type_defect(f, iv)
-                rhs = bound_ms(theorem, df_a, df_b, iv, None if theorem == "S1" else q)
-            else:
-                lhs = trapezoid_defect(f, iv)
-                rhs = bound_prior(theorem, f, iv, None if theorem == "DA" else q)
-            q_row = None if theorem in ("S1", "DA") else q
-            rows.append(_bound_row(i, theorem.lower(), iv, None, q_row, lhs, rhs, cfg.bound_tol))
-
-        elif theorem in ("PPC", "ADK"):
-            f, iv = _concave_power_instance(inst_seed, q, cfg)
-            df = f.derivative
-            cert = certify_concave(lambda x: np.abs(df(x)) ** q, iv.a, iv.b, grid)
-            if not cert.certified:
-                rows.append(_skip_row(i, theorem.lower(), iv, None, q))
-                continue
-            lhs = trapezoid_defect(f, iv)
-            kind = "PP_CONCAVE" if theorem == "PPC" else "ADK"
-            rhs = bound_prior(kind, f, iv, q)
-            rows.append(_bound_row(i, theorem.lower(), iv, None, q, lhs, rhs, cfg.bound_tol))
-
-        elif theorem in ("HH", "BULLEN"):
-            f, iv = _convex_f_instance(inst_seed, cfg)
-            cert = certify_s_convex(f.value, 1.0, iv.a, iv.b, grid)
-            if not cert.certified:
-                rows.append(_skip_row(i, theorem.lower(), iv, None, None))
-                continue
-            if theorem == "HH":
-                left, mid, right = hadamard_triple(f, iv)
-                if mid - left <= right - mid:
-                    lhs, rhs = left, mid
-                else:
-                    lhs, rhs = mid, right
-            else:
-                lhs, rhs = mean_value(f, iv), bullen_classic_rhs(f, iv)
-            rows.append(_bound_row(i, theorem.lower(), iv, None, None, lhs, rhs, cfg.bound_tol))
-
-        else:  # HHS
-            if i == 0:
-                # Sharp instance: the endpoint-average constant is attained.
-                f, u, v, s = handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
-            else:
-                f, u, v = _s_power_instance(inst_seed, s, cfg)
-            lo = u if u > 0.0 else 1e-3 * v
-            cert = certify_s_convex(f.value, s, lo, v, grid)
-            if not cert.certified:
-                rows.append(_skip_row(i, "hhs", None, s, None))
-                continue
-            left, mid, right = hadamard_s_triple(f, u, v, s)
-            if mid - left <= right - mid:
-                lhs, rhs = left, mid
-            else:
-                lhs, rhs = mid, right
-            row = _bound_row(i, "hhs", None, s, None, lhs, rhs, cfg.bound_tol)
-            rows.append(CaseRow(row.case, row.theorem, u, v, row.s, row.q, row.lhs, row.rhs, row.margin, row.status))
-
-    return _finish(f"bounds:{theorem.lower()}", cfg, rows, [], t0)
+    return _finish(f"bounds:{th.id}", cfg, rows, [], t0)
 
 
 def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -400,9 +334,9 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
             defect = bullen_type_defect(oracle, iv)
             lhs = prop_power_lhs(iv, s)
             rows.append(_match_row(i, "prop_power_xcheck", iv, s, None, lhs, defect, cfg.bound_tol))
-            rows.append(_bound_row(i, "se3", iv, s, None, lhs, prop_rhs("SE3", iv, s), cfg.bound_tol))
-            rows.append(_bound_row(i, "se7", iv, s, q, lhs, prop_rhs("SE7", iv, s, q), cfg.bound_tol))
-            rows.append(_bound_row(i, "se8", iv, s, q, lhs, prop_rhs("SE8", iv, s, q), cfg.bound_tol))
+            rows.append(_bound_row(i, "se3", iv.a, iv.b, s, None, lhs, prop_rhs("SE3", iv, s), cfg.bound_tol))
+            rows.append(_bound_row(i, "se7", iv.a, iv.b, s, q, lhs, prop_rhs("SE7", iv, s, q), cfg.bound_tol))
+            rows.append(_bound_row(i, "se8", iv.a, iv.b, s, q, lhs, prop_rhs("SE8", iv, s, q), cfg.bound_tol))
 
         for s in _PROP_RECIP_S:
             ps = PowerSum([(1.0 / (1.0 - s), 1.0 - s)])
@@ -410,9 +344,9 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
             defect = bullen_type_defect(oracle, iv)
             lhs = prop_recip_lhs(iv, s)
             rows.append(_match_row(i, "prop_recip_xcheck", iv, s, None, lhs, defect, cfg.bound_tol))
-            rows.append(_bound_row(i, "se4", iv, s, None, lhs, prop_rhs("SE4", iv, s), cfg.bound_tol))
-            rows.append(_bound_row(i, "se9", iv, s, q, lhs, prop_rhs("SE9", iv, s, q), cfg.bound_tol))
-            rows.append(_bound_row(i, "se10", iv, s, q, lhs, prop_rhs("SE10", iv, s, q), cfg.bound_tol))
+            rows.append(_bound_row(i, "se4", iv.a, iv.b, s, None, lhs, prop_rhs("SE4", iv, s), cfg.bound_tol))
+            rows.append(_bound_row(i, "se9", iv.a, iv.b, s, q, lhs, prop_rhs("SE9", iv, s, q), cfg.bound_tol))
+            rows.append(_bound_row(i, "se10", iv.a, iv.b, s, q, lhs, prop_rhs("SE10", iv, s, q), cfg.bound_tol))
 
         disc = se4_discrepancy(iv, rng.choice(_PROP_RECIP_S))
         if disc.is_exact_negation:

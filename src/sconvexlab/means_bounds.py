@@ -29,7 +29,7 @@ from .means import (
     geometric_mean,
     power_diff_quotient,
 )
-from .bounds import HolderPair, bound_se2, bound_se5, bound_se6
+from .bounds import HolderPair, bound_se2, bound_se5, bound_se6, se2_weights
 
 PROP_KINDS = ("SE3", "SE4", "SE7", "SE8", "SE9", "SE10")
 
@@ -141,8 +141,7 @@ def se4_discrepancy(iv: OrderedInterval, s: float) -> Se4Discrepancy:
     a, b = iv.a, iv.b
     denom = (s + 1.0) * (s + 2.0)
     scale = 2.0 ** (s + 2.0)
-    pow1 = s * 2.0 ** (s + 1.0) + s + 2.0
-    pow2 = 2.0 ** (s + 2.0) - s - 2.0
+    pow1, pow2 = se2_weights(s)
 
     first = (a * pow1 + b * pow2) / (scale * b ** s * denom)
     printed_second = (a * (s - 2.0 ** (s + 2.0) + 2.0) - b * pow1) / (scale * a ** s * denom)

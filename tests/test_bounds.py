@@ -264,6 +264,14 @@ class TestHadamardChains:
         with pytest.raises(DomainError):
             hadamard_s_triple(X2, -0.5, 1.0, 0.5)
 
+    def test_s_triple_rejects_f_unbounded_at_zero(self):
+        recip_sqrt = handle_from_power_sum(PowerSum([(1.0, -0.5)]))
+        with pytest.raises(DomainError, match="unbounded or undefined"):
+            hadamard_s_triple(recip_sqrt, 0.0, 1.0, 0.5)
+        inf_at_zero = FuncHandle(value=lambda x: np.inf if x == 0.0 else x, derivative=lambda x: 1.0)
+        with pytest.raises(DomainError):
+            hadamard_s_triple(inf_at_zero, 0.0, 1.0, 0.5)
+
     def test_bullen_rhs(self):
         assert bullen_classic_rhs(X2, IV13) == pytest.approx(4.5, abs=1e-14)
         assert bullen_classic_rhs(X2, IV13) >= 13 / 3

@@ -165,6 +165,14 @@ class TestExitCodes:
     def test_missing_param(self, capsys):
         assert dispatch(["bound", "--theorem", "se5", "--f", "1*x^2", "--a", "1", "--b", "3", "--s", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["defect", "--f", "1*x^400", "--a", "1", "--b", "10"],
+        ["means", "--a", "1", "--b", "1e300", "--p", "3"],
+    ])
+    def test_overflow_is_an_error(self, capsys, argv):
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error(self, capsys):
         assert dispatch(["nonsense"]) == 2
         assert dispatch(["bound", "--theorem", "se99", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 2

@@ -21,7 +21,26 @@ from sconvexlab import (
     integrate,
     powersum_integral,
 )
-from sconvexlab.funcmodel import sample_dconvex_instance
+from sconvexlab.funcmodel import CERT_TOL, sample_dconvex_instance
+
+
+def _direct_certify(phi, s, lo, hi, concave):
+    """The certifier's arithmetic written out without buffer reuse: the
+    s-convexity check, or the concavity check against the chord."""
+    xs = np.linspace(lo, hi, 33)
+    ts = np.linspace(0.0, 1.0, 21)[None, None, :]
+    mix = ts * xs[:, None, None] + (1.0 - ts) * xs[None, :, None]
+    pmix = phi(mix)
+    if concave:
+        rhs = ts * phi(xs)[:, None, None] + (1.0 - ts) * phi(xs)[None, :, None]
+        excess = rhs - pmix - CERT_TOL * (1.0 + np.abs(rhs))
+    else:
+        rhs = ts ** s * phi(xs)[:, None, None] + (1.0 - ts) ** s * phi(xs)[None, :, None]
+        excess = pmix - rhs - CERT_TOL * (1.0 + np.abs(rhs))
+    if not (excess > 0.0).any():
+        return None
+    i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return (xs[i], xs[j], ts[0, 0, k], pmix[i, j, k], rhs[i, j, k])
 
 
 class TestPowerSum:
@@ -122,6 +141,28 @@ class TestCertifier:
             return x * x
 
         assert certify_s_convex(phi, 1.0, 1.0, 2.0, grid=(9, 9, 9)).certified
+
+    @pytest.mark.parametrize("phi, s, concave", [
+        (lambda x: x ** 2, 1.0, False),
+        (lambda x: -(x ** 2), 1.0, False),
+        (lambda x: np.sqrt(x), 0.5, False),
+        (lambda x: np.sqrt(x), 0.25, False),
+        (lambda x: -1.0 - 0.0 * x, 0.5, False),
+        (lambda x: 3.0 * x - 1.0, 1.0, False),
+        (lambda x: np.abs(x - 2.3) ** 1.5, 0.75, False),
+        (lambda x: np.sqrt(x), 1.0, True),
+        (lambda x: x ** 2, 1.0, True),
+        (lambda x: 3.0 * x - 1.0, 1.0, True),
+        (lambda x: np.sin(x), 1.0, True),
+    ])
+    def test_matches_direct_formula(self, phi, s, concave):
+        if concave:
+            result = certify_concave(phi, 0.5, 3.5)
+        else:
+            result = certify_s_convex(phi, s, 0.5, 3.5)
+        expected = _direct_certify(phi, s, 0.5, 3.5, concave)
+        assert result.certified == (expected is None)
+        assert result.counterexample == expected
 
     def test_concavity(self):
         assert certify_concave(lambda x: np.sqrt(x), 1.0, 4.0).certified

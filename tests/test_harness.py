@@ -71,21 +71,30 @@ class TestBoundSuites:
             run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
 
     def test_partial_skip_counted(self, monkeypatch):
-        real = harness.certify_s_convex
-        fail_on = {0}
-        calls = {"i": -1}
+        cfg = SuiteConfig(seed=1, cases=4)
+        evaluated = {th: run_bound_suite(cfg, th).rows[0] for th in BOUND_THEOREMS}
+        calls = {"i": 0}
 
-        def flaky(*args, **kwargs):
-            calls["i"] += 1
-            if calls["i"] in fail_on:
-                return CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
-            return real(*args, **kwargs)
+        def flaky(real):
+            def certify(*args, **kwargs):
+                calls["i"] += 1
+                if calls["i"] == 1:
+                    return CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "certify_s_convex", flaky)
-        report = run_bound_suite(SuiteConfig(seed=1, cases=4), "SE2")
-        assert report.skipped == 1
-        assert report.rows[0].status == "skipped"
-        assert report.rows[0].lhs is None
+            return certify
+
+        monkeypatch.setattr(harness, "certify_s_convex", flaky(harness.certify_s_convex))
+        monkeypatch.setattr(harness, "certify_concave", flaky(harness.certify_concave))
+        for theorem in BOUND_THEOREMS:
+            calls["i"] = 0
+            report = run_bound_suite(cfg, theorem)
+            assert report.skipped == 1, theorem
+            skipped, full = report.rows[0], evaluated[theorem]
+            assert skipped.status == "skipped"
+            assert (skipped.lhs, skipped.rhs, skipped.margin) == (None, None, None)
+            # A skip row carries the same columns as the row it replaces.
+            assert (skipped.a, skipped.b, skipped.s, skipped.q) == (full.a, full.b, full.s, full.q), theorem
 
 
 class TestReductionSuite:
