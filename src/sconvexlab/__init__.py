@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     EvalError,
     ExponentError,
-    GenerationError,
     LabError,
     MissingParam,
     ParseError,
@@ -32,10 +31,8 @@ from .funcmodel import (
     FuncHandle,
     GenConfig,
     PowerSum,
-    SParam,
     certify_concave,
     certify_s_convex,
-    gen_certified_instance,
     handle_from_power_sum,
     powersum_integral,
 )
@@ -53,7 +50,6 @@ from .bounds import (
     bullen_type_defect,
     evaluate_bound,
     hadamard_s_triple,
-    hadamard_triple,
     lemma_identity_rhs,
     trapezoid_defect,
 )

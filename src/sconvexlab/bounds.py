@@ -41,6 +41,18 @@ from .quadrature import integrate
 DEFAULT_BOUND_TOL = 1e-9
 
 
+def check_q(q, bound: str, strict: bool) -> float:
+    """q as a float: finite and > 1 for the Holder bounds (strict), >= 1 for
+    the others.  Raises MissingParam for None and DomainError otherwise."""
+    rule = "q > 1" if strict else "q >= 1"
+    if q is None:
+        raise MissingParam(f"{bound} requires {rule}")
+    q = float(q)
+    if not (math.isfinite(q) and (q > 1.0 if strict else q >= 1.0)):
+        raise DomainError(f"{bound} requires a finite {rule}, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class HolderPair:
     """Conjugate exponents 1/p + 1/q = 1 with q > 1 (hence p > 1)."""
@@ -49,11 +61,9 @@ class HolderPair:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.q is None:
-            raise MissingParam("Holder exponent q > 1 is required")
-        if not (math.isfinite(self.q) and self.q > 1.0):
-            raise DomainError(f"Holder exponent requires q > 1, got {self.q}")
-        object.__setattr__(self, "p", self.q / (self.q - 1.0))
+        q = check_q(self.q, "Holder exponent", strict=True)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", q / (q - 1.0))
 
 
 @dataclass(frozen=True)
@@ -157,11 +167,8 @@ def bound_se6(df_a: float, df_b: float, iv: OrderedInterval, s, q: float) -> flo
     The theorem is stated for q > 1; q = 1 is accepted because the bound
     then collapses algebraically to bound_se2.
     """
-    if q is None:
-        raise MissingParam("power-mean bound requires q >= 1")
+    q = check_q(q, "power-mean bound", strict=False)
     sv = as_s(s)
-    if not q >= 1.0:
-        raise DomainError(f"power-mean bound requires q >= 1, got {q}")
     a, b = iv.a, iv.b
     w1 = sv * 2.0 ** (sv + 1.0) + 1.0
     w2 = 2.0 ** (sv + 2.0) - sv - 3.0
@@ -184,17 +191,12 @@ def bound_ms(kind: str, df_a: float, df_b: float, iv: OrderedInterval, q: Option
     if kind == "S1":
         return (5.0 * a + 7.0 * b) / 48.0 * df_a + (7.0 * a + 5.0 * b) / 48.0 * df_b
     if kind == "S2":
-        if q is None:
-            raise MissingParam("S2 bound requires q > 1")
-        hq = HolderPair(float(q))
+        hq = HolderPair(q)
+        q = hq.q
         bracket = (df_b ** q + 3.0 * df_a ** q) ** (1.0 / q) + (df_a ** q + 3.0 * df_b ** q) ** (1.0 / q)
         return gen_log_mean(iv, hq.p) / 4.0 ** (1.0 + 1.0 / q) * bracket
     if kind == "S3":
-        if q is None:
-            raise MissingParam("S3 bound requires q >= 1")
-        q = float(q)
-        if not q >= 1.0:
-            raise DomainError(f"S3 bound requires q >= 1, got {q}")
+        q = check_q(q, "S3 bound", strict=False)
         br1 = df_b ** q * (2.0 * a + b) + df_a ** q * (4.0 * a + 5.0 * b)
         br2 = df_a ** q * (a + 2.0 * b) + df_b ** q * (5.0 * a + 4.0 * b)
         pref = arithmetic_mean(iv) ** (1.0 - 1.0 / q) / (4.0 * 12.0 ** (1.0 / q))
@@ -202,20 +204,13 @@ def bound_ms(kind: str, df_a: float, df_b: float, iv: OrderedInterval, q: Option
     raise DomainError(f"unknown convex-case bound kind {kind!r}")
 
 
-def hadamard_triple(f: FuncHandle, iv: OrderedInterval) -> tuple[float, float, float]:
-    """(midpoint value, integral mean, endpoint average); nondecreasing for convex f."""
-    left = f.value(iv.midpoint)
-    mid = mean_value(f, iv)
-    right = 0.5 * (f.value(iv.a) + f.value(iv.b))
-    return left, mid, right
-
-
 def hadamard_s_triple(f: FuncHandle, u: float, v: float, s) -> tuple[float, float, float]:
     """The s-convex double inequality chain on [u, v], u = 0 allowed.
 
     Returns (2^(s-1) f((u+v)/2), integral mean, (f(u)+f(v))/(s+1)).  The
     endpoint-average constant 1/(s+1) admits an equality instance, e.g.
-    f = sqrt on (0, 1) with s = 1/2.
+    f = sqrt on (0, 1) with s = 1/2.  At s = 1 this is the Hermite-Hadamard
+    chain (midpoint value, integral mean, endpoint average) of convex f.
     """
     sv = as_s(s)
     if not (0.0 <= u < v):
@@ -254,7 +249,7 @@ def bound_prior(kind: str, f: FuncHandle, iv: OrderedInterval, q: Optional[float
     ADK: (b-a)/4 * ((q-1)/(2q-1))^(1-1/q)
           * (|f'((3a+b)/4)| + |f'((a+3b)/4)|)                concave |f'|^q
 
-    Certifying the hypothesis is the caller's duty.
+    PP and ADK need q >= 1.  Certifying the hypothesis is the caller's duty.
     """
     kind = kind.upper()
     a, b = iv.a, iv.b
@@ -263,18 +258,12 @@ def bound_prior(kind: str, f: FuncHandle, iv: OrderedInterval, q: Optional[float
     if kind == "DA":
         return width / 8.0 * (abs(df(a)) + abs(df(b)))
     if kind == "PP":
-        if q is None:
-            raise MissingParam("PP bound requires q >= 1")
-        q = float(q)
+        q = check_q(q, "PP bound", strict=False)
         return width / 4.0 * (0.5 * (abs(df(a)) ** q + abs(df(b)) ** q)) ** (1.0 / q)
     if kind == "PP_CONCAVE":
         return width / 4.0 * abs(df(iv.midpoint))
     if kind == "ADK":
-        if q is None:
-            raise MissingParam("ADK bound requires q >= 1")
-        q = float(q)
-        if not q >= 1.0:
-            raise DomainError(f"ADK bound requires q >= 1, got {q}")
+        q = check_q(q, "ADK bound", strict=False)
         weight = ((q - 1.0) / (2.0 * q - 1.0)) ** (1.0 - 1.0 / q)
         return width / 4.0 * weight * (abs(df((3.0 * a + b) / 4.0)) + abs(df((a + 3.0 * b) / 4.0)))
     raise DomainError(f"unknown prior-art bound kind {kind!r}")
@@ -351,7 +340,7 @@ THEOREMS = {th.id: th for th in (
     Theorem("ppc", False, "|f'|^q", True, "concave_power", _trapezoid_sides("PP_CONCAVE")),
     Theorem("adk", False, "|f'|^q", True, "concave_power", _trapezoid_sides("ADK")),
     Theorem("hh", False, "f", False, "convex_f",
-            lambda f, a, b, s, q: chain_leg(*hadamard_triple(f, OrderedInterval(a, b)))),
+            lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, 1.0))),
     Theorem("hhs", True, "f", False, "s_power",
             lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, s))),
     Theorem("bullen", False, "f", False, "convex_f", _bullen_sides),

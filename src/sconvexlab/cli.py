@@ -22,6 +22,8 @@ with no lookahead ambiguity between names and malformed numbers).
 
 Exit codes: 0 success with no violations, 1 at least one violated
 inequality, 2 usage, parse, domain or floating-point overflow errors.
+se5 and s2 need a finite q > 1, se6, s3, pp and adk a finite q >= 1, and
+tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
 double round trip.
 """
@@ -29,6 +31,7 @@ double round trip.
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from typing import Optional
@@ -205,8 +208,6 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    import csv as _csv
-
     f = _handle_from_expr(args.f)
     iv = OrderedInterval(args.a, args.b)
     s_values = _parse_grid(args.s_grid)
@@ -220,14 +221,10 @@ def _cmd_sweep(args) -> int:
         rows.append(report)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "holds"])
         for r in rows:
-            writer.writerow(
-                [r.theorem_id, repr(r.a), repr(r.b)]
-                + ["" if v is None else repr(v) for v in (r.s, r.q, r.lhs, r.rhs, r.margin)]
-                + ["true" if r.holds else "false"]
-            )
+            writer.writerow((r.theorem_id, r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin, "true" if r.holds else "false"))
     worst = min(r.margin for r in rows)
     print(
         f"sweep {args.theorem}: {len(rows)} points, violations {violations}, "

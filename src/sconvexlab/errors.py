@@ -17,10 +17,6 @@ class EvalError(LabError):
     """A user-supplied function returned a non-finite value."""
 
 
-class GenerationError(LabError):
-    """The instance generator produced a function that failed certification."""
-
-
 class DepthExhausted(LabError):
     """Adaptive integration hit the bisection depth limit before converging."""
 

@@ -11,8 +11,8 @@ inequality
     phi(t*x + (1-t)*y) <= t^s * phi(x) + (1-t)^s * phi(y)
 
 on a uniform (x, y, t) grid and reports the first violation beyond a small
-floating-point allowance.  Instances released by the generator are always
-certified first.
+floating-point allowance.  The harness certifies each instance's hypothesis
+before asserting a bound on it.
 
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
@@ -27,29 +27,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EvalError, ExponentError, GenerationError
+from .errors import DomainError, EvalError, ExponentError
 from .means import OrderedInterval
 
 CERT_TOL = 1e-10
 DEFAULT_GRID = (33, 33, 21)
 
 
-@dataclass(frozen=True)
-class SParam:
-    """The convexity exponent s, restricted to (0, 1]."""
-
-    s: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and 0.0 < self.s <= 1.0):
-            raise DomainError(f"s must lie in (0, 1], got {self.s}")
-
-
 def as_s(s) -> float:
-    """Accept an SParam or a bare number; return the validated float."""
-    if isinstance(s, SParam):
-        return s.s
-    return SParam(float(s)).s
+    """The convexity exponent s as a float, validated to lie in (0, 1]."""
+    s = float(s)
+    if not (math.isfinite(s) and 0.0 < s <= 1.0):
+        raise DomainError(f"s must lie in (0, 1], got {s}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,8 @@ def _grid_values(phi, points: np.ndarray) -> np.ndarray:
         out = np.asarray(phi(points), dtype=float)
         if out.shape == points.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):
+        # What a scalar-only callable raises when handed an array.
         pass
     return np.array([phi(float(v)) for v in points.ravel()], dtype=float).reshape(points.shape)
 
@@ -248,8 +239,10 @@ def sample_dconvex_instance(rng: random.Random, cfg: GenConfig) -> tuple[FuncHan
     """Draw an instance from the base family, without certifying it.
 
     f' is a nonnegative combination of power terms with exponents in
-    (-1, 0] or [1, 3], hence nonnegative and convex on (0, inf), and f is
-    its closed-form antiderivative.
+    (-1, 0] or [1, 3], hence nonnegative and convex on (0, inf), so |f'|
+    and |f'|^q for q >= 1 are s-convex for every s in (0, 1].  f is its
+    closed-form antiderivative, which gives an exact integral.  Equal rng
+    states give bitwise-identical instances.
     """
     n_terms = rng.randint(1, cfg.max_terms)
     terms = []
@@ -268,28 +261,3 @@ def sample_dconvex_instance(rng: random.Random, cfg: GenConfig) -> tuple[FuncHan
         descriptor=f.to_dsl(),
     )
     return handle, sample_interval(rng, cfg)
-
-
-def gen_certified_instance(
-    seed: int,
-    s,
-    config: GenConfig = GenConfig(),
-) -> tuple[FuncHandle, OrderedInterval, CertResult]:
-    """Deterministically build an instance whose |f'| is certified s-convex.
-
-    f' is drawn as a nonnegative combination of power terms with exponents
-    in (-1, 0] or [1, 3]; such an f' is nonnegative and convex on (0, inf),
-    so |f'| and |f'|^q for q >= 1 are s-convex for every s in (0, 1].  The
-    antiderivative gives f in closed form, hence an exact integral with no
-    nested quadrature.  Identical seeds produce bitwise-identical instances.
-    """
-    sv = as_s(s)
-    rng = random.Random(seed)
-    handle, iv = sample_dconvex_instance(rng, config)
-    dps = handle.derivative
-    cert = certify_s_convex(lambda x: np.abs(dps(x)), sv, iv.a, iv.b, config.grid)
-    if not cert.certified:
-        raise GenerationError(
-            f"seed {seed}: generated |f'| failed s-convexity certification at {cert.counterexample}"
-        )
-    return handle, iv, cert

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -64,6 +65,10 @@ from .means_bounds import prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepa
 
 BOUND_THEOREMS = tuple(tid.upper() for tid in THEOREMS)
 
+# The s and q values cases draw from, and the instance sampler's settings.
+_S_GRID = (0.25, 0.5, 0.75, 1.0)
+_Q_GRID = (1.5, 2.0, 3.0)
+_GEN = GenConfig()
 _PROP_POWER_S = tuple(round(0.1 * k, 1) for k in range(1, 11))
 _PROP_RECIP_S = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -72,10 +77,6 @@ _PROP_RECIP_S = tuple(round(0.1 * k, 1) for k in range(1, 10))
 class SuiteConfig:
     seed: int = 42
     cases: int = 100
-    s_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    q_grid: tuple[float, ...] = (1.5, 2.0, 3.0)
-    lo_min: float = 0.25
-    hi_max: float = 4.0
     identity_tol: float = 1e-8
     bound_tol: float = 1e-9
     reduction_tol: float = 1e-12
@@ -83,19 +84,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.cases < 1:
             raise DomainError("suite needs cases >= 1")
-        if not self.s_grid or not self.q_grid:
-            raise DomainError("suite grids must be nonempty")
-        for s in self.s_grid:
-            if not 0.0 < s <= 1.0:
-                raise DomainError(f"s grid value {s} outside (0, 1]")
-        for q in self.q_grid:
-            if not q > 1.0:
-                raise DomainError(f"q grid value {q} must exceed 1")
-        if not 0.0 < self.lo_min < self.hi_max:
-            raise DomainError("interval sampler needs 0 < lo_min < hi_max")
-
-    def gen_config(self) -> GenConfig:
-        return GenConfig(lo_min=self.lo_min, hi_max=self.hi_max)
+        for tol in (self.identity_tol, self.bound_tol, self.reduction_tol):
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise DomainError(f"tolerances must be finite and >= 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +167,7 @@ def run_identity_suite(
     else:
         pairs = []
         for i in range(cfg.cases):
-            pairs.append((i, sample_dconvex_instance(random.Random(cfg.seed ^ i), cfg.gen_config())))
+            pairs.append((i, sample_dconvex_instance(random.Random(cfg.seed ^ i), _GEN)))
     for i, (f, iv) in pairs:
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
@@ -184,7 +175,7 @@ def run_identity_suite(
     return _finish("identity", cfg, rows, [], t0)
 
 
-def _convex_f_instance(seed: int, cfg: SuiteConfig) -> tuple[FuncHandle, OrderedInterval]:
+def _convex_f_instance(seed: int) -> tuple[FuncHandle, OrderedInterval]:
     """f with nondecreasing f' (exponents 0 or in [1,3]), so f is convex."""
     rng = random.Random(seed)
     terms = []
@@ -192,59 +183,58 @@ def _convex_f_instance(seed: int, cfg: SuiteConfig) -> tuple[FuncHandle, Ordered
         exponent = 0.0 if rng.random() < 0.3 else rng.uniform(1.0, 3.0)
         terms.append((rng.uniform(0.05, 2.0), exponent))
     dps = PowerSum(terms)
-    return handle_from_power_sum(dps.antiderivative()), sample_interval(rng, cfg.gen_config())
+    return handle_from_power_sum(dps.antiderivative()), sample_interval(rng, _GEN)
 
 
-def _concave_power_instance(seed: int, q: float, cfg: SuiteConfig) -> tuple[FuncHandle, OrderedInterval]:
+def _concave_power_instance(seed: int, q: float) -> tuple[FuncHandle, OrderedInterval]:
     """f' = c x^m with 0 < m q <= 1, so |f'|^q is concave."""
     rng = random.Random(seed)
     m = rng.uniform(0.05, 1.0) / q
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, m)]).antiderivative()
-    return handle_from_power_sum(f), sample_interval(rng, cfg.gen_config())
+    return handle_from_power_sum(f), sample_interval(rng, _GEN)
 
 
-def _s_power_instance(seed: int, s: float, cfg: SuiteConfig) -> tuple[FuncHandle, float, float]:
+def _s_power_instance(seed: int, s: float) -> tuple[FuncHandle, float, float]:
     """f = c x^sigma with sigma >= s (hence s-convex), on [u, v] with u >= 0."""
     rng = random.Random(seed)
     sigma = rng.uniform(max(s, 0.3), 1.0)
     c = rng.uniform(0.2, 2.0)
     f = handle_from_power_sum(PowerSum([(c, sigma)]))
-    gen = cfg.gen_config()
     if rng.random() < 0.25:
-        u, v = 0.0, rng.uniform(gen.lo_min, gen.hi_max)
+        u, v = 0.0, rng.uniform(_GEN.lo_min, _GEN.hi_max)
     else:
-        iv = sample_interval(rng, gen)
+        iv = sample_interval(rng, _GEN)
         u, v = iv.a, iv.b
     return f, u, v
 
 
-def _sconvex_term_instance(seed: int, s: float, cfg: SuiteConfig) -> tuple[FuncHandle, OrderedInterval]:
+def _sconvex_term_instance(seed: int, s: float) -> tuple[FuncHandle, OrderedInterval]:
     """f' = c x^s: s-convex but not convex for s < 1."""
     rng = random.Random(seed)
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, s)]).antiderivative()
-    return handle_from_power_sum(f), sample_interval(rng, cfg.gen_config())
+    return handle_from_power_sum(f), sample_interval(rng, _GEN)
 
 
-def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: float, q: float,
-                   cfg: SuiteConfig) -> tuple[FuncHandle, float, float, float]:
+def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: float,
+                   q: float) -> tuple[FuncHandle, float, float, float]:
     """Case i's instance from the theorem's family, as (f, a, b, s)."""
     family = th.family
     if family == "s_power":
         if i == 0:
             # Sharp instance: the endpoint-average constant is attained.
             return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
-        f, u, v = _s_power_instance(inst_seed, s, cfg)
+        f, u, v = _s_power_instance(inst_seed, s)
         return f, u, v, s
     if family == "concave_power":
-        f, iv = _concave_power_instance(inst_seed, q, cfg)
+        f, iv = _concave_power_instance(inst_seed, q)
     elif family == "convex_f":
-        f, iv = _convex_f_instance(inst_seed, cfg)
+        f, iv = _convex_f_instance(inst_seed)
     elif family == "dconvex+sterm" and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
-        f, iv = _sconvex_term_instance(inst_seed, s, cfg)
+        f, iv = _sconvex_term_instance(inst_seed, s)
     else:
-        f, iv = sample_dconvex_instance(random.Random(inst_seed), cfg.gen_config())
+        f, iv = sample_dconvex_instance(random.Random(inst_seed), _GEN)
     return f, iv.a, iv.b, s
 
 
@@ -265,23 +255,22 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
         raise DomainError(f"unknown bound suite {theorem!r}")
     t0 = time.perf_counter()
     rows: list[CaseRow] = []
-    grid = cfg.gen_config().grid
 
     for i in range(cfg.cases):
         rng = random.Random(cfg.seed ^ i)
-        s = rng.choice(cfg.s_grid)
-        q = rng.choice(cfg.q_grid)
+        s = rng.choice(_S_GRID)
+        q = rng.choice(_Q_GRID)
         inst_seed = rng.getrandbits(32)
-        f, a, b, s = _draw_instance(th, i, rng, inst_seed, s, q, cfg)
+        f, a, b, s = _draw_instance(th, i, rng, inst_seed, s, q)
         s_row = s if th.takes_s else None
         q_row = q if th.uses_q else None
 
         phi = _hypothesis_function(th, f, q)
         lo = a if a > 0.0 else 1e-3 * b
         if th.concave:
-            cert = certify_concave(phi, lo, b, grid)
+            cert = certify_concave(phi, lo, b, _GEN.grid)
         else:
-            cert = certify_s_convex(phi, s if th.takes_s else 1.0, lo, b, grid)
+            cert = certify_s_convex(phi, s if th.takes_s else 1.0, lo, b, _GEN.grid)
         if not cert.certified:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
             continue
@@ -297,11 +286,11 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     rows: list[CaseRow] = []
     for i in range(cfg.cases):
         rng = random.Random(cfg.seed ^ i)
-        iv = sample_interval(rng, cfg.gen_config())
+        iv = sample_interval(rng, _GEN)
         df_a = rng.uniform(0.0, 3.0)
         df_b = rng.uniform(0.0, 3.0)
-        q = rng.choice(cfg.q_grid)
-        s = rng.choice(cfg.s_grid)
+        q = rng.choice(_Q_GRID)
+        s = rng.choice(_S_GRID)
 
         pairs = [
             ("se2_s1_vs_s1", 1.0, None, bound_se2(df_a, df_b, iv, 1.0), bound_ms("S1", df_a, df_b, iv)),
@@ -325,8 +314,8 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     printed_negative = 0
     for i in range(cfg.cases):
         rng = random.Random(cfg.seed ^ i)
-        iv = sample_interval(rng, cfg.gen_config())
-        q = rng.choice(cfg.q_grid)
+        iv = sample_interval(rng, _GEN)
+        q = rng.choice(_Q_GRID)
 
         for s in _PROP_POWER_S:
             ps = PowerSum([(1.0, s)])
@@ -411,17 +400,9 @@ def render_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-
-    def cell(v):
-        return "" if v is None else repr(v) if isinstance(v, float) else v
-
     for report in reports:
         for r in report.rows:
-            writer.writerow(
-                [report.suite_id, r.case, r.theorem]
-                + [cell(v) for v in (r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin)]
-                + [r.status]
-            )
+            writer.writerow((report.suite_id, r.case, r.theorem, r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin, r.status))
     return buf.getvalue()
 
 

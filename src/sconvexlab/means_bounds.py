@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, MissingParam
+from .errors import DomainError
 from .funcmodel import as_s
 from .means import (
     OrderedInterval,
@@ -103,12 +103,8 @@ def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> fl
     if kind in ("SE3", "SE4"):
         return bound_se2(df_a, df_b, iv, sv)
     if kind in ("SE8", "SE9"):
-        if q is None:
-            raise MissingParam(f"{kind} requires q > 1")
-        return bound_se5(df_a, df_b, iv, sv, HolderPair(float(q)))
-    if q is None:
-        raise MissingParam(f"{kind} requires q >= 1")
-    return bound_se6(df_a, df_b, iv, sv, float(q))
+        return bound_se5(df_a, df_b, iv, sv, HolderPair(q))
+    return bound_se6(df_a, df_b, iv, sv, q)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from sconvexlab import (
     bullen_type_defect,
     evaluate_bound,
     hadamard_s_triple,
-    hadamard_triple,
     handle_from_power_sum,
     integrate,
     lemma_identity_rhs,
@@ -235,19 +234,21 @@ class TestBoundMs:
 
 
 class TestHadamardChains:
+    """At s = 1 the s-convex chain is the Hermite-Hadamard chain of convex f."""
+
     def test_square_triple(self):
-        left, mid, right = hadamard_triple(X2, IV13)
+        left, mid, right = hadamard_s_triple(X2, 1.0, 3.0, 1.0)
         assert (left, right) == (4.0, 5.0)
         assert mid == pytest.approx(13 / 3, rel=1e-12)
         assert left <= mid <= right
 
     def test_affine_equality(self):
-        left, mid, right = hadamard_triple(X, IV13)
+        left, mid, right = hadamard_s_triple(X, 1.0, 3.0, 1.0)
         assert left == pytest.approx(mid, abs=1e-14)
         assert mid == pytest.approx(right, abs=1e-14)
 
     def test_constant(self):
-        assert hadamard_triple(CONST, IV13) == pytest.approx((2.5, 2.5, 2.5), abs=1e-14)
+        assert hadamard_s_triple(CONST, 1.0, 3.0, 1.0) == pytest.approx((2.5, 2.5, 2.5), abs=1e-14)
 
     def test_s_triple_sharp_instance(self):
         left, mid, right = hadamard_s_triple(SQRT, 0.0, 1.0, 0.5)
@@ -257,7 +258,7 @@ class TestHadamardChains:
         assert left <= mid <= right + 1e-10
 
     def test_s_triple_reduces_to_plain_chain_at_s1(self):
-        assert hadamard_s_triple(X2, 1.0, 3.0, 1.0) == pytest.approx(hadamard_triple(X2, IV13), rel=1e-12)
+        assert hadamard_s_triple(X2, 1.0, 3.0, 1.0) == pytest.approx((4.0, 13 / 3, 5.0), rel=1e-12)
         assert hadamard_s_triple(X, 1.0, 3.0, 1.0) == pytest.approx((2.0, 2.0, 2.0), abs=1e-13)
 
     def test_s_triple_rejects_negative_u(self):

@@ -1,12 +1,20 @@
 """CLI: grammar, command output, exit codes, and report determinism."""
 
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sconvexlab import ParseError, PowerSum, parse_function_dsl
+import sconvexlab
+from sconvexlab import THEOREMS, ParseError, PowerSum, parse_function_dsl
 from sconvexlab.cli import dispatch
+
+BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
 
 class TestFunctionGrammar:
@@ -173,6 +181,23 @@ class TestExitCodes:
         assert dispatch(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--theorem", "pp", *BOUND_X2, "--q", "0"],
+        ["sweep", "--theorem", "pp", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--q", "0", "--out", "{out}"],
+        ["bound", "--theorem", "pp", *BOUND_X2, "--q", "nan"],
+        ["bound", "--theorem", "adk", *BOUND_X2, "--q", "inf"],
+        ["bound", "--theorem", "s3", *BOUND_X2, "--q", "inf"],
+        ["bound", "--theorem", "pp", *BOUND_X2, "--q", "0.5"],
+        ["bound", "--theorem", "pp", *BOUND_X2, "--q", "-2"],
+        ["bound", "--theorem", "se6", *BOUND_X2, "--s", "0.5", "--q", "inf"],
+        ["verify", "--suite", "reductions", "--cases", "2", "--tol", "nan"],
+        ["verify", "--suite", "reductions", "--cases", "2", "--tol", "-1"],
+    ])
+    def test_bad_q_or_tol_is_an_error(self, capsys, tmp_path, argv):
+        argv = [arg.format(out=tmp_path / "sweep.csv") for arg in argv]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error(self, capsys):
         assert dispatch(["nonsense"]) == 2
         assert dispatch(["bound", "--theorem", "se99", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 2
@@ -182,3 +207,34 @@ class TestExitCodes:
             "sweep", "--theorem", "se2", "--f", "1*x^2", "--a", "1", "--b", "3",
             "--s-grid", "nonsense", "--out", str(tmp_path / "x.csv"),
         ]) == 2
+
+
+Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "adk")
+HOLDER_THEOREMS = ("se5", "s2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(theorem=st.sampled_from(sorted(THEOREMS)), s=st.floats(), q=st.floats())
+def test_bound_exit_code_property(theorem, s, q):
+    """Any s and q give exit code 0, 1 or 2, never an exception; a q
+    outside its theorem's range is an error (2)."""
+    code = dispatch(["bound", "--theorem", theorem, *BOUND_X2, f"--s={s!r}", f"--q={q!r}"])
+    assert code in (0, 1, 2)
+    if theorem in Q_THEOREMS:
+        in_range = q > 1.0 if theorem in HOLDER_THEOREMS else q >= 1.0
+        if not (math.isfinite(q) and in_range):
+            assert code == 2
+
+
+def test_python_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sconvexlab", "means", "--a", "1", "--b", "3"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "A 2"

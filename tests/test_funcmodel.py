@@ -1,4 +1,4 @@
-"""Power sums, the grid certifier, and the certified-instance generator."""
+"""Power sums, the grid certifier, and the instance generator."""
 
 import math
 import random
@@ -14,14 +14,19 @@ from sconvexlab import (
     GenConfig,
     OrderedInterval,
     PowerSum,
-    SParam,
     certify_concave,
     certify_s_convex,
-    gen_certified_instance,
     integrate,
     powersum_integral,
 )
-from sconvexlab.funcmodel import CERT_TOL, sample_dconvex_instance
+from sconvexlab.funcmodel import CERT_TOL, as_s, sample_dconvex_instance
+
+
+def _certified_instance(seed, s):
+    """Sample an instance from the base family and certify its |f'|."""
+    f, iv = sample_dconvex_instance(random.Random(seed), GenConfig())
+    df = f.derivative
+    return f, iv, certify_s_convex(lambda x: np.abs(df(x)), s, iv.a, iv.b)
 
 
 def _direct_certify(phi, s, lo, hi, concave):
@@ -86,13 +91,15 @@ class TestPowerSum:
 
 
 class TestSParam:
+    """The exponent s, validated by as_s."""
+
     @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001, math.nan])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
-            SParam(bad)
+            as_s(bad)
 
     def test_accepts_boundary(self):
-        assert SParam(1.0).s == 1.0
+        assert as_s(1.0) == 1.0
 
 
 class TestCertifier:
@@ -142,6 +149,17 @@ class TestCertifier:
 
         assert certify_s_convex(phi, 1.0, 1.0, 2.0, grid=(9, 9, 9)).certified
 
+    def test_array_errors_other_than_type_and_value_propagate(self):
+        # Only a scalar-only callable's TypeError or ValueError selects the
+        # scalar fallback; any other error on an array is the caller's.
+        def phi(x):
+            if isinstance(x, np.ndarray):
+                raise DomainError("array input rejected")
+            return x * x
+
+        with pytest.raises(DomainError, match="array input rejected"):
+            certify_s_convex(phi, 1.0, 1.0, 2.0)
+
     @pytest.mark.parametrize("phi, s, concave", [
         (lambda x: x ** 2, 1.0, False),
         (lambda x: -(x ** 2), 1.0, False),
@@ -183,19 +201,19 @@ class TestCertifier:
 
 class TestGenerator:
     def test_determinism(self):
-        left = gen_certified_instance(1234, 0.5)
-        right = gen_certified_instance(1234, 0.5)
+        left = _certified_instance(1234, 0.5)
+        right = _certified_instance(1234, 0.5)
         assert left[0].descriptor == right[0].descriptor
         assert left[1] == right[1]
         assert left[2] == right[2]
 
     def test_distinct_seeds_differ(self):
-        a = gen_certified_instance(0, 0.5)[0].descriptor
-        b = gen_certified_instance(1, 0.5)[0].descriptor
+        a = _certified_instance(0, 0.5)[0].descriptor
+        b = _certified_instance(1, 0.5)[0].descriptor
         assert a != b
 
     def test_certificate_is_returned(self):
-        _, _, cert = gen_certified_instance(5, 0.25)
+        _, _, cert = _certified_instance(5, 0.25)
         assert isinstance(cert, CertResult) and cert.certified
 
     def test_linear_derivative_instance(self):
@@ -212,7 +230,8 @@ class TestGenerator:
     def test_hypotheses_hold_across_powers(self):
         """|f'| and |f'|^q certify as s-convex for q in {1, 1.5, 2, 3}."""
         for seed in range(12):
-            f, iv, _ = gen_certified_instance(seed, 0.5)
+            f, iv, cert = _certified_instance(seed, 0.5)
+            assert cert.certified
             df = f.derivative
             for q in (1.0, 1.5, 2.0, 3.0):
                 res = certify_s_convex(lambda x: np.abs(df(x)) ** q, 0.5, iv.a, iv.b)
@@ -220,7 +239,7 @@ class TestGenerator:
 
     def test_exact_integral_agrees_with_quadrature(self):
         for seed in (3, 8, 15):
-            f, iv, _ = gen_certified_instance(seed, 1.0)
+            f, iv, _ = _certified_instance(seed, 1.0)
             exact = f.exact_integral(iv)
             approx = integrate(f.value, iv.a, iv.b).value
             assert exact == pytest.approx(approx, rel=1e-9)

@@ -162,14 +162,8 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SuiteConfig(cases=0)
 
-    def test_bad_grids(self):
-        with pytest.raises(DomainError):
-            SuiteConfig(s_grid=())
-        with pytest.raises(DomainError):
-            SuiteConfig(s_grid=(1.5,))
-        with pytest.raises(DomainError):
-            SuiteConfig(q_grid=(1.0,))
-
-    def test_bad_interval_bounds(self):
-        with pytest.raises(DomainError):
-            SuiteConfig(lo_min=4.0, hi_max=1.0)
+    def test_bad_tolerances(self):
+        for field in ("identity_tol", "bound_tol", "reduction_tol"):
+            for bad in (float("nan"), float("inf"), -1e-9):
+                with pytest.raises(DomainError):
+                    SuiteConfig(**{field: bad})

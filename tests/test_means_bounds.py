@@ -6,10 +6,13 @@ import pytest
 
 from sconvexlab import (
     DomainError,
+    HolderPair,
     MissingParam,
     OrderedInterval,
     PowerSum,
     bound_se2,
+    bound_se5,
+    bound_se6,
     bullen_type_defect,
     prop_power_lhs,
     prop_recip_lhs,
@@ -93,14 +96,24 @@ class TestPropRhs:
         assert prop_power_lhs(IV13, 1.0) == pytest.approx(prop_rhs("SE3", IV13, 1.0), abs=1e-12)
 
     def test_substitution_consistency(self):
-        """SE3 must be bit-equal to bound_se2 with the substituted endpoint
-        derivatives: one source of truth, same code path."""
+        """Each proposition must be bit-equal to its generic bound with the
+        family's |f'| endpoints substituted: one source of truth, same code
+        path.  x^s has |f'| = s x^(s-1); x^(1-s)/(1-s) has |f'| = x^-s."""
         rng = random.Random(63)
         for _ in range(50):
             iv = random_interval(rng)
+            q = rng.choice([1.0, 1.5, 2.0, 3.0])
+            hq = q if q > 1.0 else 2.0
             s = rng.choice(POWER_S)
-            direct = bound_se2(s * iv.a ** (s - 1), s * iv.b ** (s - 1), iv, s)
-            assert prop_rhs("SE3", iv, s) == direct
+            da, db = s * iv.a ** (s - 1), s * iv.b ** (s - 1)
+            assert prop_rhs("SE3", iv, s) == bound_se2(da, db, iv, s)
+            assert prop_rhs("SE7", iv, s, q) == bound_se6(da, db, iv, s, q)
+            assert prop_rhs("SE8", iv, s, hq) == bound_se5(da, db, iv, s, HolderPair(hq))
+            s = rng.choice(RECIP_S)
+            da, db = iv.a ** -s, iv.b ** -s
+            assert prop_rhs("SE4", iv, s) == bound_se2(da, db, iv, s)
+            assert prop_rhs("SE10", iv, s, q) == bound_se6(da, db, iv, s, q)
+            assert prop_rhs("SE9", iv, s, hq) == bound_se5(da, db, iv, s, HolderPair(hq))
 
     def test_dominance_all_six_kinds(self):
         rng = random.Random(64)
