@@ -292,6 +292,13 @@ def _trapezoid_sides(kind):
     return sides
 
 
+def _ppc_sides(f, a, b, s, q):
+    """PP_CONCAVE does not read q, but its hypothesis, |f'|^q concave, needs q >= 1."""
+    check_q(q, "PPC bound", strict=False)
+    iv = OrderedInterval(a, b)
+    return trapezoid_defect(f, iv), bound_prior("PP_CONCAVE", f, iv)
+
+
 def _bullen_sides(f, a, b, s, q):
     iv = OrderedInterval(a, b)
     return mean_value(f, iv), bullen_classic_rhs(f, iv)
@@ -337,7 +344,7 @@ THEOREMS = {th.id: th for th in (
             _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S3", da, db, iv, q))),
     Theorem("da", False, "|f'|", False, "dconvex", _trapezoid_sides("DA")),
     Theorem("pp", False, "|f'|^q", False, "dconvex", _trapezoid_sides("PP")),
-    Theorem("ppc", False, "|f'|^q", True, "concave_power", _trapezoid_sides("PP_CONCAVE")),
+    Theorem("ppc", False, "|f'|^q", True, "concave_power", _ppc_sides),
     Theorem("adk", False, "|f'|^q", True, "concave_power", _trapezoid_sides("ADK")),
     Theorem("hh", False, "f", False, "convex_f",
             lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, 1.0))),

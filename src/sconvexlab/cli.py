@@ -22,7 +22,7 @@ with no lookahead ambiguity between names and malformed numbers).
 
 Exit codes: 0 success with no violations, 1 at least one violated
 inequality, 2 usage, parse, domain or floating-point overflow errors.
-se5 and s2 need a finite q > 1, se6, s3, pp and adk a finite q >= 1, and
+se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
 tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
 double round trip.
@@ -152,7 +152,8 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
     if name in ("identity", "all"):
         reports.append(run_identity_suite(cfg))
     if name in ("bounds", "all"):
-        reports.extend(run_bound_suite(cfg, th) for th in THEOREMS)
+        certified: dict = {}  # shared hypotheses are certified once per run
+        reports.extend(run_bound_suite(cfg, th, certified) for th in THEOREMS)
     if name in ("reductions", "all"):
         reports.append(run_reduction_suite(cfg))
     if name in ("props", "all"):

@@ -7,7 +7,12 @@ Four suites:
 * bounds      - one sub-suite per inequality; each case certifies the
                 hypothesis it needs (|f'| or |f'|^q s-convex, concave, or
                 f itself convex) before asserting, and cases that fail
-                certification are skipped and counted;
+                certification are skipped and counted.  Several theorems
+                assume the same hypothesis on the same instances, so one
+                verify run hands its bound suites one memo of
+                certification outcomes and certifies each shared
+                hypothesis once; a skip then shows in every suite of its
+                group;
 * reductions  - the s -> 1 and q -> 1 collapses onto the convex-case
                 bounds, checked as relative discrepancies;
 * props       - the mean-expressed proposition defects against quadrature
@@ -238,21 +243,30 @@ def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: f
     return f, iv.a, iv.b, s
 
 
-def _hypothesis_function(th: Theorem, f: FuncHandle, q: float):
-    """The function the theorem assumes s-convex or concave: f, |f'| or |f'|^q."""
+def _hypothesis_function(th: Theorem, base, q: float):
+    """The function the theorem assumes s-convex or concave: f, |f'| or
+    |f'|^q, built from base (f for "f", else f')."""
     if th.hypothesis == "f":
-        return f.value
-    df = f.derivative
+        return base
     if th.hypothesis == "|f'|":
-        return lambda x: np.abs(df(x))
-    return lambda x: np.abs(df(x)) ** q
+        return lambda x: np.abs(base(x))
+    return lambda x: np.abs(base(x)) ** q
 
 
-def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
-    """Assert one inequality over certified instances; skip failed hypotheses."""
+def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = None) -> SuiteReport:
+    """Assert one inequality over certified instances; skip failed hypotheses.
+
+    certified, when given, maps the certifier's exact inputs to its outcome.
+    The suite looks each case up in it before certifying and stores the
+    outcome after, so suites that share one dict certify a shared
+    hypothesis once.  Equal inputs give equal outcomes, so the report is
+    the same with or without it.
+    """
     th = THEOREMS.get(theorem.lower())
     if th is None:
         raise DomainError(f"unknown bound suite {theorem!r}")
+    if certified is None:
+        certified = {}
     t0 = time.perf_counter()
     rows: list[CaseRow] = []
 
@@ -265,13 +279,18 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
         s_row = s if th.takes_s else None
         q_row = q if th.uses_q else None
 
-        phi = _hypothesis_function(th, f, q)
+        base = f.value if th.hypothesis == "f" else f.derivative
+        s_cert = s if th.takes_s else 1.0
         lo = a if a > 0.0 else 1e-3 * b
-        if th.concave:
-            cert = certify_concave(phi, lo, b, _GEN.grid)
-        else:
-            cert = certify_s_convex(phi, s if th.takes_s else 1.0, lo, b, _GEN.grid)
-        if not cert.certified:
+        key = (th.hypothesis, base, q_row, s_cert, lo, b, th.concave)
+        if key not in certified:
+            phi = _hypothesis_function(th, base, q)
+            if th.concave:
+                cert = certify_concave(phi, lo, b, _GEN.grid)
+            else:
+                cert = certify_s_convex(phi, s_cert, lo, b, _GEN.grid)
+            certified[key] = cert.certified
+        if not certified[key]:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
             continue
         lhs, rhs = th.sides(f, a, b, s, q)

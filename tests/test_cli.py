@@ -1,5 +1,6 @@
 """CLI: grammar, command output, exit codes, and report determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -132,6 +133,18 @@ class TestVerifyCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("suite, digest", [
+        ("all", "520dec14dd0c761740477c2fb1bbb3b932ba1349cbb5bc79bc12d9101c0c90cd"),
+        ("bounds", "753b2780e8e6c82e2ca5dfaa58e1cca1255640635b876b21d0bdcc2452024b7c"),
+    ])
+    def test_golden_report_digest(self, tmp_path, capsys, suite, digest):
+        # Pinned report bytes: a change meant to keep every report as it is
+        # (a speed-up, a refactor) must leave these digests alone.
+        out = tmp_path / "report.csv"
+        args = ["verify", "--suite", suite, "--cases", "20", "--seed", "42", "--format", "csv", "--out", str(out)]
+        assert dispatch(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_props_note_passthrough(self, capsys):
         assert dispatch(["verify", "--suite", "props", "--cases", "3", "--seed", "5"]) == 0
         assert "note: se4 as-printed bound" in capsys.readouterr().out
@@ -192,6 +205,13 @@ class TestExitCodes:
         ["bound", "--theorem", "se6", *BOUND_X2, "--s", "0.5", "--q", "inf"],
         ["verify", "--suite", "reductions", "--cases", "2", "--tol", "nan"],
         ["verify", "--suite", "reductions", "--cases", "2", "--tol", "-1"],
+        ["bound", "--theorem", "ppc", *BOUND_X2, "--q", "nan"],
+        ["bound", "--theorem", "ppc", *BOUND_X2, "--q", "0"],
+        ["bound", "--theorem", "ppc", *BOUND_X2, "--q", "-2"],
+        ["bound", "--theorem", "ppc", *BOUND_X2, "--q", "inf"],
+        ["bound", "--theorem", "ppc", *BOUND_X2],
+        ["sweep", "--theorem", "ppc", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--q", "nan", "--out", "{out}"],
+        ["sweep", "--theorem", "ppc", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--out", "{out}"],
     ])
     def test_bad_q_or_tol_is_an_error(self, capsys, tmp_path, argv):
         argv = [arg.format(out=tmp_path / "sweep.csv") for arg in argv]
@@ -209,7 +229,7 @@ class TestExitCodes:
         ]) == 2
 
 
-Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "adk")
+Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "ppc", "adk")
 HOLDER_THEOREMS = ("se5", "s2")
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import sconvexlab.cli as cli
 import sconvexlab.harness as harness
 from sconvexlab import (
     BOUND_THEOREMS,
@@ -95,6 +96,56 @@ class TestBoundSuites:
             assert (skipped.lhs, skipped.rhs, skipped.margin) == (None, None, None)
             # A skip row carries the same columns as the row it replaces.
             assert (skipped.a, skipped.b, skipped.s, skipped.q) == (full.a, full.b, full.s, full.q), theorem
+
+
+class TestCertificationMemo:
+    @staticmethod
+    def _count_certifier_calls(monkeypatch, calls, fail_first=False):
+        def counting(real):
+            def certify(*args, **kwargs):
+                calls["n"] += 1
+                if fail_first and calls["n"] == 1:
+                    return CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
+                return real(*args, **kwargs)
+
+            return certify
+
+        monkeypatch.setattr(harness, "certify_s_convex", counting(harness.certify_s_convex))
+        monkeypatch.setattr(harness, "certify_concave", counting(harness.certify_concave))
+
+    def test_verify_certifies_each_shared_hypothesis_once(self, monkeypatch, tmp_path, capsys):
+        calls = {"n": 0}
+        self._count_certifier_calls(monkeypatch, calls)
+        reports = {}
+
+        def recording(cfg, theorem, *args, **kwargs):
+            report = run_bound_suite(cfg, theorem, *args, **kwargs)
+            reports[theorem] = report
+            return report
+
+        monkeypatch.setattr(cli, "run_bound_suite", recording)
+        argv = ["verify", "--suite", "bounds", "--cases", "5", "--seed", "42", "--out", str(tmp_path / "r.json")]
+        assert cli.dispatch(argv) == 0
+        # 65 certifications, 31 of them distinct.
+        assert calls["n"] == 31
+        assert list(reports) == [th.lower() for th in BOUND_THEOREMS]
+        cfg = SuiteConfig(seed=42, cases=5)
+        for theorem, report in reports.items():
+            assert report.rows == run_bound_suite(cfg, theorem).rows, theorem
+
+    def test_a_skip_belongs_to_the_hypothesis(self, monkeypatch):
+        # s1 and da both assume |f'| convex on the same instances.
+        calls = {"n": 0}
+        self._count_certifier_calls(monkeypatch, calls, fail_first=True)
+        cfg = SuiteConfig(seed=1, cases=4)
+        certified = {}
+        s1 = run_bound_suite(cfg, "s1", certified)
+        assert calls["n"] == cfg.cases
+        da = run_bound_suite(cfg, "da", certified)
+        assert calls["n"] == cfg.cases
+        for report in (s1, da):
+            assert report.skipped == 1
+            assert report.rows[0].status == "skipped"
 
 
 class TestReductionSuite:
