@@ -40,12 +40,12 @@ from .bounds import (
     THEOREMS,
     BoundReport,
     HolderPair,
-    bound_ms,
-    bound_prior,
+    bound_s1,
+    bound_s2,
+    bound_s3,
     bound_se2,
     bound_se5,
     bound_se6,
-    bullen_classic_rhs,
     bullen_defect_signed,
     bullen_type_defect,
     evaluate_bound,

@@ -13,15 +13,18 @@ Three families of right-hand sides live here:
 
 * bound_se2 / bound_se5 / bound_se6 - the s-convex bounds, for derivatives
   whose magnitude (or its q-th power) is s-convex in the second sense;
-* bound_ms - the s = 1 convex-case bounds, implemented literally from their
-  own printed coefficients so the s -> 1 reductions are genuine two-sided
-  checks rather than the same code path twice;
-* bound_prior and the Hermite-Hadamard / Bullen chains - classical results
-  used as cross-checks and reduction oracles.
+* bound_s1 / bound_s2 / bound_s3 - the s = 1 convex-case bounds, implemented
+  literally from their own printed coefficients so the s -> 1 reductions are
+  genuine two-sided checks rather than the same code path twice;
+* the classical trapezoid bounds (DA, PP, PPC, ADK) and the
+  Hermite-Hadamard / Bullen chains - cross-checks and reduction oracles.
 
 THEOREMS is the registry: one entry per bound theorem, naming its
 hypothesis and instance family and evaluating its two sides.
-evaluate_bound, the bound suites and the command line all read it.
+evaluate_bound, the bound suites and the command line all read it.  Each
+formula is defined once: one that a single theorem uses lives in that
+theorem's entry (its sides function), and one that several theorems or
+suites share is a named function here.
 
 Hypothesis certification is the caller's duty throughout; see the harness.
 All evaluators are pure.
@@ -79,7 +82,6 @@ class BoundReport:
     rhs: float
     margin: float
     holds: bool
-    tol: float
 
 
 def verdict(lhs: float, rhs: float, tol: float) -> str:
@@ -180,28 +182,28 @@ def bound_se6(df_a: float, df_b: float, iv: OrderedInterval, s, q: float) -> flo
     return prefactor * (br1 ** (1.0 / q) + br2 ** (1.0 / q))
 
 
-def bound_ms(kind: str, df_a: float, df_b: float, iv: OrderedInterval, q: Optional[float] = None) -> float:
-    """The three convex-case bounds, from their printed coefficients.
-
-    S1 needs no q; S2 needs q > 1; S3 needs q >= 1.  Kept independent of the
-    se-family on purpose: these serve as reduction oracles at s = 1.
-    """
-    kind = kind.upper()
+def bound_s1(df_a: float, df_b: float, iv: OrderedInterval) -> float:
+    """Convex-case endpoint bound for convex |f'|, from its printed coefficients."""
     a, b = iv.a, iv.b
-    if kind == "S1":
-        return (5.0 * a + 7.0 * b) / 48.0 * df_a + (7.0 * a + 5.0 * b) / 48.0 * df_b
-    if kind == "S2":
-        hq = HolderPair(q)
-        q = hq.q
-        bracket = (df_b ** q + 3.0 * df_a ** q) ** (1.0 / q) + (df_a ** q + 3.0 * df_b ** q) ** (1.0 / q)
-        return gen_log_mean(iv, hq.p) / 4.0 ** (1.0 + 1.0 / q) * bracket
-    if kind == "S3":
-        q = check_q(q, "S3 bound", strict=False)
-        br1 = df_b ** q * (2.0 * a + b) + df_a ** q * (4.0 * a + 5.0 * b)
-        br2 = df_a ** q * (a + 2.0 * b) + df_b ** q * (5.0 * a + 4.0 * b)
-        pref = arithmetic_mean(iv) ** (1.0 - 1.0 / q) / (4.0 * 12.0 ** (1.0 / q))
-        return pref * (br1 ** (1.0 / q) + br2 ** (1.0 / q))
-    raise DomainError(f"unknown convex-case bound kind {kind!r}")
+    return (5.0 * a + 7.0 * b) / 48.0 * df_a + (7.0 * a + 5.0 * b) / 48.0 * df_b
+
+
+def bound_s2(df_a: float, df_b: float, iv: OrderedInterval, q) -> float:
+    """Convex-case Holder bound for convex |f'|^q, q > 1, scaled by L_p(a, b)."""
+    hq = HolderPair(q)
+    q = hq.q
+    bracket = (df_b ** q + 3.0 * df_a ** q) ** (1.0 / q) + (df_a ** q + 3.0 * df_b ** q) ** (1.0 / q)
+    return gen_log_mean(iv, hq.p) / 4.0 ** (1.0 + 1.0 / q) * bracket
+
+
+def bound_s3(df_a: float, df_b: float, iv: OrderedInterval, q) -> float:
+    """Convex-case power-mean bound for convex |f'|^q, q >= 1, scaled by A^(1-1/q)."""
+    q = check_q(q, "S3 bound", strict=False)
+    a, b = iv.a, iv.b
+    br1 = df_b ** q * (2.0 * a + b) + df_a ** q * (4.0 * a + 5.0 * b)
+    br2 = df_a ** q * (a + 2.0 * b) + df_b ** q * (5.0 * a + 4.0 * b)
+    pref = arithmetic_mean(iv) ** (1.0 - 1.0 / q) / (4.0 * 12.0 ** (1.0 / q))
+    return pref * (br1 ** (1.0 / q) + br2 ** (1.0 / q))
 
 
 def hadamard_s_triple(f: FuncHandle, u: float, v: float, s) -> tuple[float, float, float]:
@@ -230,43 +232,9 @@ def hadamard_s_triple(f: FuncHandle, u: float, v: float, s) -> tuple[float, floa
     return left, mid, right
 
 
-def bullen_classic_rhs(f: FuncHandle, iv: OrderedInterval) -> float:
-    """(f(midpoint) + endpoint average) / 2; dominates the mean for convex f."""
-    return 0.5 * (f.value(iv.midpoint) + 0.5 * (f.value(iv.a) + f.value(iv.b)))
-
-
 def trapezoid_defect(f: FuncHandle, iv: OrderedInterval) -> float:
     """| endpoint average - integral mean |, the classical trapezoid error."""
     return abs(0.5 * (f.value(iv.a) + f.value(iv.b)) - mean_value(f, iv))
-
-
-def bound_prior(kind: str, f: FuncHandle, iv: OrderedInterval, q: Optional[float] = None) -> float:
-    """Classical trapezoid-defect bounds.
-
-    DA: (b-a)/8 * (|f'(a)| + |f'(b)|)                       convex |f'|
-    PP: (b-a)/4 * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q)          convex |f'|^q
-    PP_CONCAVE: (b-a)/4 * |f'((a+b)/2)|                      concave |f'|^q
-    ADK: (b-a)/4 * ((q-1)/(2q-1))^(1-1/q)
-          * (|f'((3a+b)/4)| + |f'((a+3b)/4)|)                concave |f'|^q
-
-    PP and ADK need q >= 1.  Certifying the hypothesis is the caller's duty.
-    """
-    kind = kind.upper()
-    a, b = iv.a, iv.b
-    width = b - a
-    df = f.derivative
-    if kind == "DA":
-        return width / 8.0 * (abs(df(a)) + abs(df(b)))
-    if kind == "PP":
-        q = check_q(q, "PP bound", strict=False)
-        return width / 4.0 * (0.5 * (abs(df(a)) ** q + abs(df(b)) ** q)) ** (1.0 / q)
-    if kind == "PP_CONCAVE":
-        return width / 4.0 * abs(df(iv.midpoint))
-    if kind == "ADK":
-        q = check_q(q, "ADK bound", strict=False)
-        weight = ((q - 1.0) / (2.0 * q - 1.0)) ** (1.0 - 1.0 / q)
-        return width / 4.0 * weight * (abs(df((3.0 * a + b) / 4.0)) + abs(df((a + 3.0 * b) / 4.0)))
-    raise DomainError(f"unknown prior-art bound kind {kind!r}")
 
 
 def chain_leg(left: float, mid: float, right: float) -> tuple[float, float]:
@@ -284,24 +252,43 @@ def _endpoint_sides(bound):
     return sides
 
 
-def _trapezoid_sides(kind):
-    def sides(f, a, b, s, q):
-        iv = OrderedInterval(a, b)
-        return trapezoid_defect(f, iv), bound_prior(kind, f, iv, q)
+def _da_sides(f, a, b, s, q):
+    """DA: (b-a)/8 * (|f'(a)| + |f'(b)|) for convex |f'|."""
+    lhs = trapezoid_defect(f, OrderedInterval(a, b))
+    df = f.derivative
+    return lhs, (b - a) / 8.0 * (abs(df(a)) + abs(df(b)))
 
-    return sides
+
+def _pp_sides(f, a, b, s, q):
+    """PP: (b-a)/4 * ((|f'(a)|^q + |f'(b)|^q)/2)^(1/q) for convex |f'|^q, q >= 1."""
+    lhs = trapezoid_defect(f, OrderedInterval(a, b))
+    q = check_q(q, "PP bound", strict=False)
+    df = f.derivative
+    return lhs, (b - a) / 4.0 * (0.5 * (abs(df(a)) ** q + abs(df(b)) ** q)) ** (1.0 / q)
 
 
 def _ppc_sides(f, a, b, s, q):
-    """PP_CONCAVE does not read q, but its hypothesis, |f'|^q concave, needs q >= 1."""
+    """PPC: (b-a)/4 * |f'((a+b)/2)| for concave |f'|^q.  The bound does not
+    read q, but the hypothesis needs q >= 1."""
     check_q(q, "PPC bound", strict=False)
-    iv = OrderedInterval(a, b)
-    return trapezoid_defect(f, iv), bound_prior("PP_CONCAVE", f, iv)
+    lhs = trapezoid_defect(f, OrderedInterval(a, b))
+    return lhs, (b - a) / 4.0 * abs(f.derivative(0.5 * (a + b)))
+
+
+def _adk_sides(f, a, b, s, q):
+    """ADK: (b-a)/4 * ((q-1)/(2q-1))^(1-1/q) * (|f'((3a+b)/4)| + |f'((a+3b)/4)|)
+    for concave |f'|^q, q >= 1."""
+    lhs = trapezoid_defect(f, OrderedInterval(a, b))
+    q = check_q(q, "ADK bound", strict=False)
+    df = f.derivative
+    weight = ((q - 1.0) / (2.0 * q - 1.0)) ** (1.0 - 1.0 / q)
+    return lhs, (b - a) / 4.0 * weight * (abs(df((3.0 * a + b) / 4.0)) + abs(df((a + 3.0 * b) / 4.0)))
 
 
 def _bullen_sides(f, a, b, s, q):
-    iv = OrderedInterval(a, b)
-    return mean_value(f, iv), bullen_classic_rhs(f, iv)
+    """Bullen: the integral mean is at most (f(midpoint) + endpoint average)/2 for convex f."""
+    lhs = mean_value(f, OrderedInterval(a, b))
+    return lhs, 0.5 * (f.value(0.5 * (a + b)) + 0.5 * (f.value(a) + f.value(b)))
 
 
 @dataclass(frozen=True)
@@ -337,15 +324,15 @@ THEOREMS = {th.id: th for th in (
     Theorem("se6", True, "|f'|^q", False, "dconvex+sterm",
             _endpoint_sides(lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q))),
     Theorem("s1", False, "|f'|", False, "dconvex",
-            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S1", da, db, iv))),
+            _endpoint_sides(lambda da, db, iv, s, q: bound_s1(da, db, iv))),
     Theorem("s2", False, "|f'|^q", False, "dconvex",
-            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S2", da, db, iv, q))),
+            _endpoint_sides(lambda da, db, iv, s, q: bound_s2(da, db, iv, q))),
     Theorem("s3", False, "|f'|^q", False, "dconvex",
-            _endpoint_sides(lambda da, db, iv, s, q: bound_ms("S3", da, db, iv, q))),
-    Theorem("da", False, "|f'|", False, "dconvex", _trapezoid_sides("DA")),
-    Theorem("pp", False, "|f'|^q", False, "dconvex", _trapezoid_sides("PP")),
+            _endpoint_sides(lambda da, db, iv, s, q: bound_s3(da, db, iv, q))),
+    Theorem("da", False, "|f'|", False, "dconvex", _da_sides),
+    Theorem("pp", False, "|f'|^q", False, "dconvex", _pp_sides),
     Theorem("ppc", False, "|f'|^q", True, "concave_power", _ppc_sides),
-    Theorem("adk", False, "|f'|^q", True, "concave_power", _trapezoid_sides("ADK")),
+    Theorem("adk", False, "|f'|^q", True, "concave_power", _adk_sides),
     Theorem("hh", False, "f", False, "convex_f",
             lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, 1.0))),
     Theorem("hhs", True, "f", False, "s_power",
@@ -360,7 +347,6 @@ def evaluate_bound(
     iv: OrderedInterval,
     s: Optional[float] = None,
     q: Optional[float] = None,
-    tol: float = DEFAULT_BOUND_TOL,
 ) -> BoundReport:
     """Evaluate one named inequality on explicit inputs (no certification).
 
@@ -375,5 +361,5 @@ def evaluate_bound(
     lhs, rhs = th.sides(f, iv.a, iv.b, s, q)
     s_row = as_s(s) if th.takes_s else None
     q_row = q if th.uses_q else None
-    holds = verdict(lhs, rhs, tol) != "violation"
-    return BoundReport(th.id, iv.a, iv.b, s_row, q_row, lhs, rhs, rhs - lhs, holds, tol)
+    holds = verdict(lhs, rhs, DEFAULT_BOUND_TOL) != "violation"
+    return BoundReport(th.id, iv.a, iv.b, s_row, q_row, lhs, rhs, rhs - lhs, holds)

@@ -21,7 +21,8 @@ bare "x^2" is rejected (the mandatory coefficient keeps the grammar LL(1)
 with no lookahead ambiguity between names and malformed numbers).
 
 Exit codes: 0 success with no violations, 1 at least one violated
-inequality, 2 usage, parse, domain or floating-point overflow errors.
+inequality, 2 usage, parse, domain, floating-point overflow or file errors
+(an --out path that cannot be written).
 se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
 tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
 from typing import Optional
@@ -194,9 +196,12 @@ def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise LabError(f"grid argument must be LO:HI:STEP, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise LabError(f"grid argument must satisfy LO <= HI and STEP > 0, got {text!r}")
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise LabError(f"grid argument must be three numbers LO:HI:STEP, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
+        raise LabError(f"grid argument must be finite with LO <= HI and STEP > 0, got {text!r}")
     values = []
     k = 0
     while True:
@@ -292,7 +297,7 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LabError, OverflowError) as exc:
+    except (LabError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

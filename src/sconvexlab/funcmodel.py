@@ -10,9 +10,10 @@ inequality
 
     phi(t*x + (1-t)*y) <= t^s * phi(x) + (1-t)^s * phi(y)
 
-on a uniform (x, y, t) grid and reports the first violation beyond a small
-floating-point allowance.  The harness certifies each instance's hypothesis
-before asserting a bound on it.
+on one fixed uniform (x, y, t) grid, 33 x 33 x 21 points, and reports the
+first violation beyond a small floating-point allowance.  The grid is a
+constant so that no caller can coarsen it.  The harness certifies each
+instance's hypothesis before asserting a bound on it.
 
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
@@ -31,7 +32,9 @@ from .errors import DomainError, EvalError, ExponentError
 from .means import OrderedInterval
 
 CERT_TOL = 1e-10
-DEFAULT_GRID = (33, 33, 21)
+# Certification grid: points on the x and y axes (one shared linspace) and on t.
+_CERT_XY = 33
+_CERT_T = 21
 
 
 def as_s(s) -> float:
@@ -139,33 +142,22 @@ def _grid_values(phi, points: np.ndarray) -> np.ndarray:
     return np.array([phi(float(v)) for v in points.ravel()], dtype=float).reshape(points.shape)
 
 
-def certify_s_convex(
-    phi: Callable[[float], float],
-    s,
-    lo: float,
-    hi: float,
-    grid: tuple[int, int, int] = DEFAULT_GRID,
-) -> CertResult:
+def certify_s_convex(phi: Callable[[float], float], s, lo: float, hi: float) -> CertResult:
     """Check s-convexity in the second sense on a uniform sample grid.
 
     Violations smaller than CERT_TOL * (1 + |rhs|) are ignored as
     floating-point slack.  Raises EvalError if phi is non-finite anywhere
     on the grid.
     """
-    return _certify(phi, as_s(s), lo, hi, grid, concave=False)
+    return _certify(phi, as_s(s), lo, hi, concave=False)
 
 
-def certify_concave(
-    phi: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid: tuple[int, int, int] = DEFAULT_GRID,
-) -> CertResult:
-    """Check ordinary concavity on the same kind of sample grid."""
-    return _certify(phi, 1.0, lo, hi, grid, concave=True)
+def certify_concave(phi: Callable[[float], float], lo: float, hi: float) -> CertResult:
+    """Check ordinary concavity on the same sample grid."""
+    return _certify(phi, 1.0, lo, hi, concave=True)
 
 
-def _certify(phi, s: float, lo: float, hi: float, grid, concave: bool) -> CertResult:
+def _certify(phi, s: float, lo: float, hi: float, concave: bool) -> CertResult:
     """Grid check of phi(mix) <= t^s phi(x) + (1-t)^s phi(y), or of its
     reverse when concave (then s = 1 and the right side is the chord).
 
@@ -173,24 +165,19 @@ def _certify(phi, s: float, lo: float, hi: float, grid, concave: bool) -> CertRe
     """
     if not 0.0 < lo < hi:
         raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
-    if len(grid) != 3 or any(int(n) < 8 for n in grid):
-        raise DomainError(f"certification grid needs >= 8 points per axis, got {grid}")
-    nx, ny, nt = (int(n) for n in grid)
-    xs = np.linspace(lo, hi, nx)
-    ys = xs if ny == nx else np.linspace(lo, hi, ny)
-    ts = np.linspace(0.0, 1.0, nt)
+    xs = np.linspace(lo, hi, _CERT_XY)
+    ts = np.linspace(0.0, 1.0, _CERT_T)
 
     px = _grid_values(phi, xs)
-    py = px if ys is xs else _grid_values(phi, ys)
-    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
+    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
     pmix = _grid_values(phi, mix)
-    if not (np.isfinite(px).all() and np.isfinite(py).all() and np.isfinite(pmix).all()):
+    if not (np.isfinite(px).all() and np.isfinite(pmix).all()):
         raise EvalError("function returned a non-finite value on the certification grid")
 
-    rhs = ts[None, None, :] ** s * px[:, None, None] + (1.0 - ts[None, None, :]) ** s * py[None, :, None]
-    # A full-grid array (183 KB at the default grid) sits near the C
-    # allocator's trim threshold, where each extra one can cost fresh page
-    # faults, so the slack is built in place and the excess reuses mix.
+    rhs = ts[None, None, :] ** s * px[:, None, None] + (1.0 - ts[None, None, :]) ** s * px[None, :, None]
+    # A full-grid array (183 KB) sits near the C allocator's trim threshold,
+    # where each extra one can cost fresh page faults, so the slack is built
+    # in place and the excess reuses mix.
     slack = np.abs(rhs)
     slack += 1.0
     slack *= CERT_TOL
@@ -198,11 +185,11 @@ def _certify(phi, s: float, lo: float, hi: float, grid, concave: bool) -> CertRe
     if concave:
         np.negative(excess, out=excess)
     excess -= slack
-    samples = nx * ny * nt
+    samples = excess.size
     if not (excess > 0.0).any():
         return CertResult(True, None, samples)
     i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    witness = (float(xs[i]), float(ys[j]), float(ts[k]), float(pmix[i, j, k]), float(rhs[i, j, k]))
+    witness = (float(xs[i]), float(xs[j]), float(ts[k]), float(pmix[i, j, k]), float(rhs[i, j, k]))
     return CertResult(False, witness, samples)
 
 
@@ -216,7 +203,6 @@ class GenConfig:
     coeff_min: float = 0.05
     coeff_max: float = 2.0
     min_width: float = 0.05
-    grid: tuple[int, int, int] = DEFAULT_GRID
 
     def __post_init__(self):
         if not 0.0 < self.lo_min < self.hi_max:

@@ -57,7 +57,9 @@ from .bounds import (
     THEOREMS,
     HolderPair,
     Theorem,
-    bound_ms,
+    bound_s1,
+    bound_s2,
+    bound_s3,
     bound_se2,
     bound_se5,
     bound_se6,
@@ -66,7 +68,7 @@ from .bounds import (
     lemma_identity_rhs,
     verdict,
 )
-from .means_bounds import prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
+from .means_bounds import PROPOSITIONS, prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
 
 BOUND_THEOREMS = tuple(tid.upper() for tid in THEOREMS)
 
@@ -286,9 +288,9 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = 
         if key not in certified:
             phi = _hypothesis_function(th, base, q)
             if th.concave:
-                cert = certify_concave(phi, lo, b, _GEN.grid)
+                cert = certify_concave(phi, lo, b)
             else:
-                cert = certify_s_convex(phi, s_cert, lo, b, _GEN.grid)
+                cert = certify_s_convex(phi, s_cert, lo, b)
             certified[key] = cert.certified
         if not certified[key]:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
@@ -312,9 +314,9 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
         s = rng.choice(_S_GRID)
 
         pairs = [
-            ("se2_s1_vs_s1", 1.0, None, bound_se2(df_a, df_b, iv, 1.0), bound_ms("S1", df_a, df_b, iv)),
-            ("se5_s1_vs_s2", 1.0, q, bound_se5(df_a, df_b, iv, 1.0, HolderPair(q)), bound_ms("S2", df_a, df_b, iv, q)),
-            ("se6_s1_vs_s3", 1.0, q, bound_se6(df_a, df_b, iv, 1.0, q), bound_ms("S3", df_a, df_b, iv, q)),
+            ("se2_s1_vs_s1", 1.0, None, bound_se2(df_a, df_b, iv, 1.0), bound_s1(df_a, df_b, iv)),
+            ("se5_s1_vs_s2", 1.0, q, bound_se5(df_a, df_b, iv, 1.0, HolderPair(q)), bound_s2(df_a, df_b, iv, q)),
+            ("se6_s1_vs_s3", 1.0, q, bound_se6(df_a, df_b, iv, 1.0, q), bound_s3(df_a, df_b, iv, q)),
             ("se6_q1_vs_se2", s, 1.0, bound_se6(df_a, df_b, iv, s, 1.0), bound_se2(df_a, df_b, iv, s)),
         ]
         for name, s_row, q_row, lhs, rhs in pairs:
@@ -328,6 +330,18 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     """Mean-expressed defects against quadrature, and proposition dominance."""
     t0 = time.perf_counter()
+    # Per family: its cross-check row id, s grid, mean-form defect, the
+    # underlying function (x^s or x^(1-s)/(1-s)) and its propositions, as
+    # (id, whether the row carries q).
+    families = [
+        (xcheck, s_grid, prop_lhs, underlying,
+         [(pid, carries_q) for pid, (pfamily, carries_q, _) in PROPOSITIONS.items() if pfamily == family])
+        for family, xcheck, s_grid, prop_lhs, underlying in (
+            ("power", "prop_power_xcheck", _PROP_POWER_S, prop_power_lhs, lambda s: PowerSum([(1.0, s)])),
+            ("recip", "prop_recip_xcheck", _PROP_RECIP_S, prop_recip_lhs,
+             lambda s: PowerSum([(1.0 / (1.0 - s), 1.0 - s)])),
+        )
+    ]
     rows: list[CaseRow] = []
     negation_hits = 0
     printed_negative = 0
@@ -336,25 +350,17 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
         iv = sample_interval(rng, _GEN)
         q = rng.choice(_Q_GRID)
 
-        for s in _PROP_POWER_S:
-            ps = PowerSum([(1.0, s)])
-            oracle = FuncHandle(value=ps, derivative=ps.derivative())
-            defect = bullen_type_defect(oracle, iv)
-            lhs = prop_power_lhs(iv, s)
-            rows.append(_match_row(i, "prop_power_xcheck", iv, s, None, lhs, defect, cfg.bound_tol))
-            rows.append(_bound_row(i, "se3", iv.a, iv.b, s, None, lhs, prop_rhs("SE3", iv, s), cfg.bound_tol))
-            rows.append(_bound_row(i, "se7", iv.a, iv.b, s, q, lhs, prop_rhs("SE7", iv, s, q), cfg.bound_tol))
-            rows.append(_bound_row(i, "se8", iv.a, iv.b, s, q, lhs, prop_rhs("SE8", iv, s, q), cfg.bound_tol))
-
-        for s in _PROP_RECIP_S:
-            ps = PowerSum([(1.0 / (1.0 - s), 1.0 - s)])
-            oracle = FuncHandle(value=ps, derivative=ps.derivative())
-            defect = bullen_type_defect(oracle, iv)
-            lhs = prop_recip_lhs(iv, s)
-            rows.append(_match_row(i, "prop_recip_xcheck", iv, s, None, lhs, defect, cfg.bound_tol))
-            rows.append(_bound_row(i, "se4", iv.a, iv.b, s, None, lhs, prop_rhs("SE4", iv, s), cfg.bound_tol))
-            rows.append(_bound_row(i, "se9", iv.a, iv.b, s, q, lhs, prop_rhs("SE9", iv, s, q), cfg.bound_tol))
-            rows.append(_bound_row(i, "se10", iv.a, iv.b, s, q, lhs, prop_rhs("SE10", iv, s, q), cfg.bound_tol))
+        for xcheck, s_grid, prop_lhs, underlying, props in families:
+            for s in s_grid:
+                ps = underlying(s)
+                oracle = FuncHandle(value=ps, derivative=ps.derivative())
+                defect = bullen_type_defect(oracle, iv)
+                lhs = prop_lhs(iv, s)
+                rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
+                for pid, carries_q in props:
+                    q_row = q if carries_q else None
+                    rhs = prop_rhs(pid, iv, s, q_row)
+                    rows.append(_bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, cfg.bound_tol))
 
         disc = se4_discrepancy(iv, rng.choice(_PROP_RECIP_S))
         if disc.is_exact_negation:

@@ -49,9 +49,10 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
 
     Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)).  Every formula
     downstream consumes this ratio rather than the mean itself, so exposing
-    it avoids a lossy ^(1/p) -> ^p round trip.
+    it avoids a lossy ^(1/p) -> ^p round trip.  p must be finite and
+    neither 0 nor -1.
     """
-    if p == -1.0 or p == 0.0:
+    if not math.isfinite(p) or p == -1.0 or p == 0.0:
         raise DomainError(f"generalized logarithmic mean undefined for p={p}")
     a, b = iv.a, iv.b
     return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))

@@ -12,6 +12,10 @@ from each proposition's display.  That choice localizes a sign defect in
 the printed reciprocal-family bound: its second term is the exact negative
 of what substitution yields.  prop_se4_rhs_printed evaluates the printed
 form for documentation; it is never asserted as a valid bound.
+
+PROPOSITIONS defines each proposition in one place: its family, whether
+its rows carry q, and the generic bound it substitutes into.  prop_rhs and
+the props suite both read it.
 """
 
 from __future__ import annotations
@@ -30,11 +34,6 @@ from .means import (
     power_diff_quotient,
 )
 from .bounds import HolderPair, bound_se2, bound_se5, bound_se6, se2_weights
-
-PROP_KINDS = ("SE3", "SE4", "SE7", "SE8", "SE9", "SE10")
-
-# Kinds built on x^(1-s)/(1-s); these need s strictly below 1.
-_RECIP_KINDS = ("SE4", "SE9", "SE10")
 
 
 def _require_recip_s(s: float):
@@ -79,8 +78,24 @@ def _power_df(iv: OrderedInterval, s: float) -> tuple[float, float]:
 
 
 def _recip_df(iv: OrderedInterval, s: float) -> tuple[float, float]:
-    """|f'| endpoints for f = x^(1-s)/(1-s): x^-s."""
+    """|f'| endpoints for f = x^(1-s)/(1-s): x^-s.  Needs s < 1."""
+    _require_recip_s(s)
     return iv.a ** -s, iv.b ** -s
+
+
+# Each proposition substitutes its family's |f'| endpoints into one generic
+# bound: id -> (family, whether its row carries q, bound(df_a, df_b, iv, s, q)).
+# The order is the props suite's row order within each family.  The bounds
+# are called through their module-global names, so that replacing a module
+# attribute (as tests and tracing do) takes effect.
+PROPOSITIONS = {
+    "se3": ("power", False, lambda da, db, iv, s, q: bound_se2(da, db, iv, s)),
+    "se7": ("power", True, lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q)),
+    "se8": ("power", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q))),
+    "se4": ("recip", False, lambda da, db, iv, s, q: bound_se2(da, db, iv, s)),
+    "se9": ("recip", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q))),
+    "se10": ("recip", True, lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q)),
+}
 
 
 def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> float:
@@ -90,21 +105,13 @@ def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> fl
     endpoint, power-mean and Holder bounds respectively; SE4/SE10/SE9 do
     the same with x^-s.  SE8/SE9 need q > 1, SE7/SE10 accept q >= 1.
     """
-    kind = kind.upper()
-    if kind not in PROP_KINDS:
-        raise DomainError(f"unknown proposition kind {kind!r}")
+    entry = PROPOSITIONS.get(kind.lower())
+    if entry is None:
+        raise DomainError(f"unknown proposition kind {kind.upper()!r}")
+    family, _, bound = entry
     sv = as_s(s)
-    if kind in _RECIP_KINDS:
-        _require_recip_s(sv)
-        df_a, df_b = _recip_df(iv, sv)
-    else:
-        df_a, df_b = _power_df(iv, sv)
-
-    if kind in ("SE3", "SE4"):
-        return bound_se2(df_a, df_b, iv, sv)
-    if kind in ("SE8", "SE9"):
-        return bound_se5(df_a, df_b, iv, sv, HolderPair(q))
-    return bound_se6(df_a, df_b, iv, sv, q)
+    df_a, df_b = (_power_df if family == "power" else _recip_df)(iv, sv)
+    return bound(df_a, df_b, iv, sv, q)
 
 
 @dataclass(frozen=True)

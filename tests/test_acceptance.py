@@ -16,12 +16,12 @@ from sconvexlab import (
     OrderedInterval,
     PowerSum,
     SuiteConfig,
-    bound_ms,
-    bound_prior,
+    bound_s2,
     bound_se2,
     bound_se5,
     bound_se6,
     bullen_type_defect,
+    evaluate_bound,
     hadamard_s_triple,
     handle_from_power_sum,
     prop_power_lhs,
@@ -97,7 +97,7 @@ def test_criterion_4_reductions_to_convex_case():
         # spot sample quoted in the operation contract
         iv = OrderedInterval(1, 3)
         se5_at_one = bound_se5(2.0, 6.0, iv, 1.0, HolderPair(2.0))
-        assert se5_at_one == pytest.approx(bound_ms("S2", 2.0, 6.0, iv, 2.0), rel=1e-12)
+        assert se5_at_one == pytest.approx(bound_s2(2.0, 6.0, iv, 2.0), rel=1e-12)
         assert bound_se6(2.0, 6.0, iv, 0.5, 1.0) == pytest.approx(bound_se2(2.0, 6.0, iv, 0.5), rel=1e-12)
         ok = True
     finally:
@@ -147,12 +147,12 @@ def test_criterion_7_prior_art_chain_1000_each():
         # anchors
         iv13 = OrderedInterval(1, 3)
         x2 = handle_from_power_sum(PowerSum([(1, 2)]))
-        assert bound_prior("DA", x2, iv13) == pytest.approx(2.0, abs=1e-12)
+        assert evaluate_bound("da", x2, iv13).rhs == pytest.approx(2.0, abs=1e-12)
         assert trapezoid_defect(x2, iv13) == pytest.approx(2 / 3, abs=1e-12)
 
         iv14 = OrderedInterval(1, 4)
         f32 = handle_from_power_sum(PowerSum([(2 / 3, 1.5)]))
-        assert bound_prior("ADK", f32, iv14, 2.0) == pytest.approx(1.35345, abs=1e-5)
+        assert evaluate_bound("adk", f32, iv14, q=2.0).rhs == pytest.approx(1.35345, abs=1e-5)
         assert trapezoid_defect(f32, iv14) == pytest.approx(0.244444, abs=1e-6)
         ok = True
     finally:

@@ -17,12 +17,12 @@ from sconvexlab import (
     MissingParam,
     OrderedInterval,
     PowerSum,
-    bound_ms,
-    bound_prior,
+    bound_s1,
+    bound_s2,
+    bound_s3,
     bound_se2,
     bound_se5,
     bound_se6,
-    bullen_classic_rhs,
     bullen_defect_signed,
     bullen_type_defect,
     evaluate_bound,
@@ -158,7 +158,7 @@ class TestBoundSe5:
             q = rng.uniform(1.01, 5.0)
             df_a, df_b = rng.uniform(0, 3), rng.uniform(0, 3)
             assert bound_se5(df_a, df_b, iv, 1.0, HolderPair(q)) == pytest.approx(
-                bound_ms("S2", df_a, df_b, iv, q), rel=1e-12
+                bound_s2(df_a, df_b, iv, q), rel=1e-12
             )
 
     def test_t_integral_weights(self):
@@ -214,23 +214,19 @@ class TestBoundSe6:
 
 class TestBoundMs:
     def test_s1_printed_coefficients(self):
-        assert bound_ms("S1", 2.0, 6.0, IV13) == pytest.approx(23 / 6, rel=1e-14)
+        assert bound_s1(2.0, 6.0, IV13) == pytest.approx(23 / 6, rel=1e-14)
 
     def test_s2_anchor(self):
-        assert bound_ms("S2", 2.0, 6.0, IV13, 2.0) == pytest.approx(4.556560911375046, rel=1e-12)
+        assert bound_s2(2.0, 6.0, IV13, 2.0) == pytest.approx(4.556560911375046, rel=1e-12)
 
     def test_s3_anchor(self):
-        assert bound_ms("S3", 2.0, 6.0, IV13, 2.0) == pytest.approx(4.214982059327063, rel=1e-12)
+        assert bound_s3(2.0, 6.0, IV13, 2.0) == pytest.approx(4.214982059327063, rel=1e-12)
 
     def test_missing_q(self):
         with pytest.raises(MissingParam):
-            bound_ms("S2", 1.0, 1.0, IV13)
+            bound_s2(1.0, 1.0, IV13, None)
         with pytest.raises(MissingParam):
-            bound_ms("S3", 1.0, 1.0, IV13)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            bound_ms("S4", 1.0, 1.0, IV13, 2.0)
+            bound_s3(1.0, 1.0, IV13, None)
 
 
 class TestHadamardChains:
@@ -274,10 +270,10 @@ class TestHadamardChains:
             hadamard_s_triple(inf_at_zero, 0.0, 1.0, 0.5)
 
     def test_bullen_rhs(self):
-        assert bullen_classic_rhs(X2, IV13) == pytest.approx(4.5, abs=1e-14)
-        assert bullen_classic_rhs(X2, IV13) >= 13 / 3
-        assert bullen_classic_rhs(X, IV13) == pytest.approx(2.0, abs=1e-14)
-        assert bullen_classic_rhs(CONST, IV13) == pytest.approx(2.5, abs=1e-14)
+        assert evaluate_bound("bullen", X2, IV13).rhs == pytest.approx(4.5, abs=1e-14)
+        assert evaluate_bound("bullen", X2, IV13).rhs >= 13 / 3
+        assert evaluate_bound("bullen", X, IV13).rhs == pytest.approx(2.0, abs=1e-14)
+        assert evaluate_bound("bullen", CONST, IV13).rhs == pytest.approx(2.5, abs=1e-14)
 
 
 class TestTrapezoidFamily:
@@ -292,31 +288,27 @@ class TestTrapezoidFamily:
         assert trapezoid_defect(f, IV14) == pytest.approx(11 / 45, abs=1e-12)
 
     def test_da_anchor(self):
-        assert bound_prior("DA", X2, IV13) == pytest.approx(2.0, abs=1e-14)
-        assert trapezoid_defect(X2, IV13) <= bound_prior("DA", X2, IV13)
+        assert evaluate_bound("da", X2, IV13).rhs == pytest.approx(2.0, abs=1e-14)
+        assert trapezoid_defect(X2, IV13) <= evaluate_bound("da", X2, IV13).rhs
 
     def test_pp_anchor(self):
-        assert bound_prior("PP", X2, IV13, 2.0) == pytest.approx(0.5 * math.sqrt(20), rel=1e-14)
+        assert evaluate_bound("pp", X2, IV13, q=2.0).rhs == pytest.approx(0.5 * math.sqrt(20), rel=1e-14)
 
     def test_ppc_value(self):
-        assert bound_prior("PP_CONCAVE", X2, IV13) == pytest.approx(2.0, abs=1e-14)
+        assert evaluate_bound("ppc", X2, IV13, q=2.0).rhs == pytest.approx(2.0, abs=1e-14)
 
     def test_adk_anchor(self):
         f = handle_from_power_sum(PowerSum([(2 / 3, 1.5)]))
-        value = bound_prior("ADK", f, IV14, 2.0)
+        value = evaluate_bound("adk", f, IV14, q=2.0).rhs
         assert value == pytest.approx(1.3534467116692798, rel=1e-12)
         assert value == pytest.approx(1.35345, abs=1e-5)
         assert trapezoid_defect(f, IV14) <= value
 
     def test_missing_q(self):
         with pytest.raises(MissingParam):
-            bound_prior("PP", X2, IV13)
+            evaluate_bound("pp", X2, IV13)
         with pytest.raises(MissingParam):
-            bound_prior("ADK", X2, IV13)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            bound_prior("XX", X2, IV13)
+            evaluate_bound("adk", X2, IV13)
 
 
 class TestDominanceOnCertifiedFamily:

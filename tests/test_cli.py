@@ -222,11 +222,24 @@ class TestExitCodes:
         assert dispatch(["nonsense"]) == 2
         assert dispatch(["bound", "--theorem", "se99", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 2
 
-    def test_bad_grid_spec(self, capsys, tmp_path):
+    @pytest.mark.parametrize("spec", ["nonsense", "a:1:0.1", "0.1:1:nan", "0.1:inf:0.5", "nan:1:0.1"])
+    def test_bad_grid_spec(self, capsys, tmp_path, spec):
         assert dispatch([
             "sweep", "--theorem", "se2", "--f", "1*x^2", "--a", "1", "--b", "3",
-            "--s-grid", "nonsense", "--out", str(tmp_path / "x.csv"),
+            "--s-grid", spec, "--out", str(tmp_path / "x.csv"),
         ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "reductions", "--cases", "2", "--out", "{missing}/r.csv"],
+        ["sweep", "--theorem", "se2", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--out", "{missing}/x.csv"],
+        ["means", "--a", "1", "--b", "2", "--p", "nan"],
+        ["means", "--a", "1", "--b", "2", "--p", "inf"],
+    ])
+    def test_unwritable_out_or_non_finite_p_is_an_error(self, capsys, tmp_path, argv):
+        argv = [arg.format(missing=tmp_path / "no" / "such" / "dir") for arg in argv]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "ppc", "adk")

@@ -7,6 +7,7 @@ import pytest
 
 import sconvexlab.cli as cli
 import sconvexlab.harness as harness
+import sconvexlab.means_bounds as means_bounds
 from sconvexlab import (
     BOUND_THEOREMS,
     DomainError,
@@ -165,6 +166,23 @@ class TestPropSuite:
         assert "5/5" in report.notes[0]
         themes = {r.theorem for r in report.rows}
         assert {"prop_power_xcheck", "prop_recip_xcheck", "se3", "se4", "se7", "se8", "se9", "se10"} <= themes
+
+    def test_propositions_call_the_bound_by_name(self, monkeypatch):
+        """Replacing means_bounds.bound_se6 moves exactly the se7 and se10
+        rows, so the table binds its bounds late, as tracing needs."""
+        cfg = SuiteConfig(seed=17, cases=3)
+        before = run_prop_crosscheck_suite(cfg).rows
+        monkeypatch.setattr(means_bounds, "bound_se6", lambda df_a, df_b, iv, s, q: 1e6)
+        after = run_prop_crosscheck_suite(cfg).rows
+        assert len(after) == len(before)
+        moved = 0
+        for old, new in zip(before, after):
+            if old.theorem in ("se7", "se10"):
+                assert new.rhs == 1e6 and old.rhs != 1e6
+                moved += 1
+            else:
+                assert new == old
+        assert moved == 3 * (len(harness._PROP_POWER_S) + len(harness._PROP_RECIP_S))
 
 
 class TestReportSerialization:
