@@ -35,6 +35,7 @@ from .funcmodel import (
     certify_s_convex,
     handle_from_power_sum,
     powersum_integral,
+    prove_hypothesis,
 )
 from .bounds import (
     THEOREMS,

@@ -23,6 +23,7 @@ with no lookahead ambiguity between names and malformed numbers).
 Exit codes: 0 success with no violations, 1 at least one violated
 inequality, 2 usage, parse, domain, floating-point overflow or file errors
 (an --out path that cannot be written).
+A --s-grid may hold at most 10,000 points.
 se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
 tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
@@ -192,6 +193,9 @@ def _cmd_verify(args) -> int:
     return 0 if total_violations == 0 else 1
 
 
+_GRID_MAX_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -209,6 +213,10 @@ def _parse_grid(text: str) -> list[float]:
         if v > hi + 1e-12:
             break
         values.append(min(v, hi))
+        if len(values) > _GRID_MAX_POINTS:
+            # Checked in the loop: a step below the float spacing near LO
+            # leaves v fixed, which no count taken beforehand would catch.
+            raise LabError(f"grid argument {text!r} has more than {_GRID_MAX_POINTS} points")
         k += 1
     return values
 

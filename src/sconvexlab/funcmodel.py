@@ -5,15 +5,18 @@ derivative and antiderivative, valid on (0, inf).  FuncHandle packages a
 function together with its derivative and, when available, an exact
 definite integral, which is what every inequality evaluator consumes.
 
-The certifier is sampling-based, not a proof: it checks the s-convexity
-inequality
+The harness establishes each instance's hypothesis before asserting a
+bound on it: proof first, grid as fallback.  prove_hypothesis proves the
+s-convexity (or concavity) of f, |f'| or |f'|^q on (0, inf) from the
+power-sum terms, comparing exponents exactly, and names the rule it used.
+When no rule applies, the sampling certifier checks the inequality
 
     phi(t*x + (1-t)*y) <= t^s * phi(x) + (1-t)^s * phi(y)
 
 on one fixed uniform (x, y, t) grid, 33 x 33 x 21 points, and reports the
-first violation beyond a small floating-point allowance.  The grid is a
-constant so that no caller can coarsen it.  The harness certifies each
-instance's hypothesis before asserting a bound on it.
+first violation beyond a small floating-point allowance; that check is
+evidence, not a proof.  The grid is a constant so that no caller can
+coarsen it.
 
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
@@ -140,6 +143,65 @@ def _grid_values(phi, points: np.ndarray) -> np.ndarray:
         # What a scalar-only callable raises when handed an array.
         pass
     return np.array([phi(float(v)) for v in points.ravel()], dtype=float).reshape(points.shape)
+
+
+def _cmp_product(p: float, k: float, r: float) -> int:
+    """Sign of p*k - r for finite p, r and finite k > 0, computed exactly
+    from the floats' integer ratios (the float product p*k can round
+    across r)."""
+    pn, pd = p.as_integer_ratio()
+    kn, kd = k.as_integer_ratio()
+    rn, rd = r.as_integer_ratio()
+    diff = pn * kn * rd - rn * pd * kd
+    return (diff > 0) - (diff < 0)
+
+
+def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Optional[str]:
+    """Name the rule that proves the hypothesis on (0, inf), or None.
+
+    ps is the power sum the hypothesis function is built from: f for "f",
+    f' for "|f'|" and "|f'|^q".  The claim is that the function is
+    s-convex in the second sense, or concave when concave (s is then
+    unused).  Every rule needs every coefficient c >= 0, so |ps| = ps.  A
+    term's effective exponent e is p*q for "|f'|^q" and p otherwise, and
+    is compared with 0, s and 1 exactly.  The rules:
+
+    * "term": one term with e <= 0 or e >= s.  c*x^e is nonnegative and
+      convex when e <= 0 or e >= 1, hence s-convex since t <= t^s on
+      [0, 1]; when s <= e <= 1, (u+v)^e <= u^e + v^e and t^e <= t^s.
+    * "sum" ("f", "|f'|"): no exponent lies in (0, s).  Each term is
+      s-convex by "term", and nonnegative sums keep s-convexity.
+    * "convex power" ("|f'|^q", q >= 1): every p <= 0 or p >= 1.  Then ps
+      is nonnegative and convex, and u^q is convex and nondecreasing on
+      [0, inf), so ps^q is nonnegative and convex.
+    * "concave term" (concave): one term with 0 <= e <= 1, a concave power.
+    """
+    if any(c < 0.0 for c, _ in ps.terms):
+        return None
+    powered = hypothesis == "|f'|^q"
+    if powered:
+        if q is None or not (0.0 < q < math.inf):
+            return None
+        k = q
+    elif hypothesis in ("f", "|f'|"):
+        k = 1.0
+    else:
+        return None
+    exponents = [p for _, p in ps.terms]
+    single = len(exponents) == 1
+    if concave:
+        if single and _cmp_product(exponents[0], k, 0.0) >= 0 and _cmp_product(exponents[0], k, 1.0) <= 0:
+            return "concave term"
+        return None
+    if not 0.0 < s <= 1.0:
+        return None
+    if single and (_cmp_product(exponents[0], k, 0.0) <= 0 or _cmp_product(exponents[0], k, s) >= 0):
+        return "term"
+    if not powered and all(p <= 0.0 or p >= s for p in exponents):
+        return "sum"
+    if powered and q >= 1.0 and all(p <= 0.0 or p >= 1.0 for p in exponents):
+        return "convex power"
+    return None
 
 
 def certify_s_convex(phi: Callable[[float], float], s, lo: float, hi: float) -> CertResult:

@@ -6,8 +6,11 @@ Four suites:
                 (an exact identity, checked to identity_tol);
 * bounds      - one sub-suite per inequality; each case certifies the
                 hypothesis it needs (|f'| or |f'|^q s-convex, concave, or
-                f itself convex) before asserting, and cases that fail
-                certification are skipped and counted.  Several theorems
+                f itself convex) before asserting: proof first, grid as
+                fallback.  A rule of funcmodel.prove_hypothesis proves it
+                from the power-sum terms; when none applies the grid
+                certifier samples it, and cases that fail the grid are
+                skipped and counted.  Several theorems
                 assume the same hypothesis on the same instances, so one
                 verify run hands its bound suites one memo of
                 certification outcomes and certifies each shared
@@ -49,6 +52,7 @@ from .funcmodel import (
     certify_concave,
     certify_s_convex,
     handle_from_power_sum,
+    prove_hypothesis,
     sample_dconvex_instance,
     sample_interval,
 )
@@ -258,6 +262,12 @@ def _hypothesis_function(th: Theorem, base, q: float):
 def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = None) -> SuiteReport:
     """Assert one inequality over certified instances; skip failed hypotheses.
 
+    Each case's hypothesis is certified proof first, grid as fallback:
+    prove_hypothesis tries its rules on the power sum the hypothesis
+    function is built from, and only when it returns None (or that base is
+    not a PowerSum) does the grid certifier run on the case's window.  A
+    case whose hypothesis fails the grid is skipped.
+
     certified, when given, maps the certifier's exact inputs to its outcome.
     The suite looks each case up in it before certifying and stores the
     outcome after, so suites that share one dict certify a shared
@@ -286,12 +296,12 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = 
         lo = a if a > 0.0 else 1e-3 * b
         key = (th.hypothesis, base, q_row, s_cert, lo, b, th.concave)
         if key not in certified:
-            phi = _hypothesis_function(th, base, q)
-            if th.concave:
-                cert = certify_concave(phi, lo, b)
+            if isinstance(base, PowerSum) and prove_hypothesis(base, th.hypothesis, s_cert, q, th.concave):
+                certified[key] = True
+            elif th.concave:
+                certified[key] = certify_concave(_hypothesis_function(th, base, q), lo, b).certified
             else:
-                cert = certify_s_convex(phi, s_cert, lo, b)
-            certified[key] = cert.certified
+                certified[key] = certify_s_convex(_hypothesis_function(th, base, q), s_cert, lo, b).certified
         if not certified[key]:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
             continue

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import sconvexlab
 from sconvexlab import THEOREMS, ParseError, PowerSum, parse_function_dsl
-from sconvexlab.cli import dispatch
+from sconvexlab.cli import _parse_grid, dispatch
+from sconvexlab.errors import LabError
 
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
@@ -222,13 +223,23 @@ class TestExitCodes:
         assert dispatch(["nonsense"]) == 2
         assert dispatch(["bound", "--theorem", "se99", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 2
 
-    @pytest.mark.parametrize("spec", ["nonsense", "a:1:0.1", "0.1:1:nan", "0.1:inf:0.5", "nan:1:0.1"])
+    @pytest.mark.parametrize("spec", [
+        "nonsense", "a:1:0.1", "0.1:1:nan", "0.1:inf:0.5", "nan:1:0.1",
+        "0.1:1:1e-300", "0.1:0.1:1e-300", "1e10:1e10:1e-13",
+    ])
     def test_bad_grid_spec(self, capsys, tmp_path, spec):
         assert dispatch([
             "sweep", "--theorem", "se2", "--f", "1*x^2", "--a", "1", "--b", "3",
             "--s-grid", spec, "--out", str(tmp_path / "x.csv"),
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_grid_point_limit(self):
+        # The benchmark's sweep grid keeps its 20 values.
+        assert _parse_grid("0.05:1.0:0.05") == [min(0.05 + k * 0.05, 1.0) for k in range(20)]
+        assert len(_parse_grid("1:10000:1")) == 10_000
+        with pytest.raises(LabError):
+            _parse_grid("1:10001:1")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "reductions", "--cases", "2", "--out", "{missing}/r.csv"],

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sconvexlab import (
     CertResult,
@@ -18,6 +19,7 @@ from sconvexlab import (
     certify_s_convex,
     integrate,
     powersum_integral,
+    prove_hypothesis,
 )
 from sconvexlab.funcmodel import CERT_TOL, as_s, sample_dconvex_instance
 
@@ -195,6 +197,105 @@ class TestCertifier:
             assert certify_s_convex(lambda x: np.abs(df(x)), 1.0, iv.a, iv.b).certified
             for s in (0.1, 0.4, 0.75):
                 assert certify_s_convex(lambda x: np.abs(df(x)), s, iv.a, iv.b).certified
+
+
+HYPOTHESES = ("f", "|f'|", "|f'|^q")
+
+
+def _grid_certifies(ps, hypothesis, s, q, concave, lo, hi):
+    """The grid certifier on the hypothesis function, built as the bound
+    suites build it."""
+    if hypothesis == "f":
+        phi = ps
+    elif hypothesis == "|f'|":
+        phi = lambda x: np.abs(ps(x))
+    else:
+        phi = lambda x: np.abs(ps(x)) ** q
+    if concave:
+        return certify_concave(phi, lo, hi).certified
+    return certify_s_convex(phi, s, lo, hi).certified
+
+
+@st.composite
+def _proof_cases(draw):
+    """A power sum of 1-3 terms with c in [0, 2], whose exponents sit on,
+    next to or between the rule boundaries, with s, q, a hypothesis, the
+    concave flag and a window 0 < lo < hi."""
+    s = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    q = draw(st.floats(min_value=1.0, max_value=4.0))
+    hypothesis = draw(st.sampled_from(HYPOTHESES))
+    concave = draw(st.booleans())
+    k = q if hypothesis == "|f'|^q" else 1.0
+    boundaries = st.sampled_from((0.0, s, 1.0, 1.0 / q, s / k, 1.0 / k))
+    exponents = st.one_of(
+        boundaries,
+        boundaries.map(lambda p: math.nextafter(p, math.inf)),
+        boundaries.map(lambda p: math.nextafter(p, -math.inf)),
+        st.floats(min_value=-2.0, max_value=3.0),
+    )
+    terms = draw(st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0), exponents), min_size=1, max_size=3))
+    lo = draw(st.floats(min_value=0.05, max_value=4.0))
+    hi = lo + draw(st.floats(min_value=0.01, max_value=4.0))
+    return PowerSum(terms), hypothesis, s, q, concave, lo, hi
+
+
+class TestProveHypothesis:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_proof_cases())
+    def test_every_proof_passes_the_grid(self, case):
+        ps, hypothesis, s, q, concave, lo, hi = case
+        if prove_hypothesis(ps, hypothesis, s, q, concave) is not None:
+            assert _grid_certifies(ps, hypothesis, s, q, concave, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_proof_cases(), data=st.data())
+    def test_a_negative_coefficient_is_not_proved(self, case, data):
+        ps, hypothesis, s, q, concave, _, _ = case
+        terms = list(ps.terms)
+        i = data.draw(st.integers(min_value=0, max_value=len(terms) - 1))
+        c = data.draw(st.floats(min_value=-2.0, max_value=0.0, exclude_max=True))
+        terms[i] = (c, terms[i][1])
+        assert prove_hypothesis(PowerSum(terms), hypothesis, s, q, concave) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s=st.floats(min_value=0.01, max_value=1.0),
+        c=st.floats(min_value=0.0, max_value=2.0),
+        const=st.floats(min_value=0.0, max_value=2.0),
+        q=st.floats(min_value=1.0, max_value=4.0),
+        hypothesis=st.sampled_from(HYPOTHESES),
+        concave=st.booleans(),
+        data=st.data(),
+    )
+    def test_an_exponent_below_s_with_a_constant_is_not_proved(self, s, c, const, q, hypothesis, concave, data):
+        p = data.draw(st.floats(min_value=0.0, max_value=0.9 * s, exclude_min=True, exclude_max=True))
+        ps = PowerSum([(c, p), (const, 0.0)])
+        assert prove_hypothesis(ps, hypothesis, s, q, concave) is None
+
+    def test_rounded_product_is_not_taken_for_one(self):
+        # m*q rounds to 1.0, but the exact product lies above 1, so x^(m q)
+        # is not concave.
+        m, q = 0.33333333333333337, 3.0
+        assert m * q == 1.0
+        assert prove_hypothesis(PowerSum([(1.0, m)]), "|f'|^q", 1.0, q, True) is None
+        assert prove_hypothesis(PowerSum([(1.0, 1.0 / q)]), "|f'|^q", 1.0, q, True) == "concave term"
+
+    @pytest.mark.parametrize("terms, hypothesis, s, q, concave, rule", [
+        ([(1.0, 0.5)], "f", 0.5, None, False, "term"),
+        ([(2.0, -0.5)], "|f'|^q", 0.25, 3.0, False, "term"),
+        ([(1.0, 0.25)], "|f'|^q", 0.75, 3.0, False, "term"),
+        ([(1.0, 2.0), (0.5, -0.5), (1.0, 0.0)], "|f'|", 0.5, None, False, "sum"),
+        ([(1.0, 2.0), (1.0, 0.5)], "f", 0.5, None, False, "sum"),
+        ([(1.0, 2.0), (0.5, -0.5)], "|f'|^q", 0.5, 1.5, False, "convex power"),
+        ([(1.0, 0.2)], "|f'|^q", 1.0, 2.0, True, "concave term"),
+        ([(1.0, 0.2)], "|f'|^q", 0.5, 2.0, False, None),
+        ([(1.0, 2.0), (1.0, 0.5)], "|f'|^q", 0.5, 2.0, False, None),
+        ([(1.0, 2.0), (0.5, -0.5)], "|f'|^q", 0.5, 0.5, False, None),
+        ([(1.0, 0.5), (1.0, 0.25)], "f", 1.0, None, True, None),
+        ([(1.0, 2.0)], "f", 1.5, None, False, None),
+    ])
+    def test_rules(self, terms, hypothesis, s, q, concave, rule):
+        assert prove_hypothesis(PowerSum(terms), hypothesis, s, q, concave) == rule
 
 
 class TestGenerator:

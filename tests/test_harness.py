@@ -25,6 +25,11 @@ from sconvexlab.harness import render_csv, render_json, report_to_dict
 CFG = SuiteConfig(seed=42, cases=40)
 
 
+def _proofs_off(monkeypatch):
+    """Send every hypothesis to the grid certifier."""
+    monkeypatch.setattr(harness, "prove_hypothesis", lambda *a, **k: None)
+
+
 class TestIdentitySuite:
     def test_clean_run(self):
         report = run_identity_suite(CFG)
@@ -68,6 +73,7 @@ class TestBoundSuites:
 
     def test_skip_accounting_and_all_skipped_failure(self, monkeypatch):
         always_fail = CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
+        _proofs_off(monkeypatch)
         monkeypatch.setattr(harness, "certify_s_convex", lambda *a, **k: always_fail)
         with pytest.raises(SuiteError):
             run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
@@ -86,6 +92,7 @@ class TestBoundSuites:
 
             return certify
 
+        _proofs_off(monkeypatch)
         monkeypatch.setattr(harness, "certify_s_convex", flaky(harness.certify_s_convex))
         monkeypatch.setattr(harness, "certify_concave", flaky(harness.certify_concave))
         for theorem in BOUND_THEOREMS:
@@ -101,7 +108,7 @@ class TestBoundSuites:
 
 class TestCertificationMemo:
     @staticmethod
-    def _count_certifier_calls(monkeypatch, calls, fail_first=False):
+    def _count_certifier_calls(monkeypatch, calls, fail_first=False, proofs=False):
         def counting(real):
             def certify(*args, **kwargs):
                 calls["n"] += 1
@@ -111,6 +118,8 @@ class TestCertificationMemo:
 
             return certify
 
+        if not proofs:
+            _proofs_off(monkeypatch)
         monkeypatch.setattr(harness, "certify_s_convex", counting(harness.certify_s_convex))
         monkeypatch.setattr(harness, "certify_concave", counting(harness.certify_concave))
 
@@ -133,6 +142,18 @@ class TestCertificationMemo:
         cfg = SuiteConfig(seed=42, cases=5)
         for theorem, report in reports.items():
             assert report.rows == run_bound_suite(cfg, theorem).rows, theorem
+
+    def test_proofs_leave_no_grid_call_and_the_same_rows(self, monkeypatch, tmp_path):
+        argv = ["verify", "--suite", "bounds", "--cases", "5", "--seed", "42", "--format", "csv", "--out"]
+        proved, grid = {"n": 0}, {"n": 0}
+        self._count_certifier_calls(monkeypatch, proved, proofs=True)
+        assert cli.dispatch(argv + [str(tmp_path / "proved.csv")]) == 0
+        assert proved["n"] == 0
+        monkeypatch.undo()
+        self._count_certifier_calls(monkeypatch, grid)
+        assert cli.dispatch(argv + [str(tmp_path / "grid.csv")]) == 0
+        assert grid["n"] == 31
+        assert (tmp_path / "proved.csv").read_text() == (tmp_path / "grid.csv").read_text()
 
     def test_a_skip_belongs_to_the_hypothesis(self, monkeypatch):
         # s1 and da both assume |f'| convex on the same instances.
