@@ -2,8 +2,9 @@
 whose derivative magnitude (or a power of it) is s-convex in the second sense.
 
 The package evaluates both sides of each inequality in closed form or by
-adaptive quadrature, certifies the convexity hypotheses by grid sampling,
-and property-tests identities, bounds, reductions and cross-checks over
+adaptive quadrature, proves the convexity hypotheses from the power-sum
+terms (with grid sampling as the fallback when no rule applies), and
+property-tests identities, bounds, reductions and cross-checks over
 seeded random instances.
 """
 

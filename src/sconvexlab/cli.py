@@ -27,13 +27,19 @@ A --s-grid may hold at most 10,000 points.
 se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
 tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
-double round trip.
+double round trip.  An overflow prints "error: floating-point overflow:
+<reason>", and a failing means call prints only its error line.
+
+dispatch builds the argparse parser once per process and reuses it;
+build_parser() still returns a fresh one.  numpy is imported only when the
+grid fallback of the hypothesis check runs, never by the CLI itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import re
 import sys
@@ -123,11 +129,13 @@ def _handle_from_expr(expr: str) -> FuncHandle:
 
 def _cmd_means(args) -> int:
     iv = OrderedInterval(args.a, args.b)
-    print(f"A {_fmt(arithmetic_mean(iv))}")
-    print(f"G {_fmt(geometric_mean(iv))}")
+    # Every value is computed before any is printed, so a failing call
+    # prints only its error line.
+    lines = [("A", arithmetic_mean(iv)), ("G", geometric_mean(iv))]
     if args.p is not None:
-        print(f"L_p^p {_fmt(gen_log_mean_pow(iv, args.p))}")
-        print(f"L_p {_fmt(gen_log_mean(iv, args.p))}")
+        lines += [("L_p^p", gen_log_mean_pow(iv, args.p)), ("L_p", gen_log_mean(iv, args.p))]
+    for name, value in lines:
+        print(f"{name} {_fmt(value)}")
     return 0
 
 
@@ -297,15 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Reuse is safe: parse_args builds a fresh
+    Namespace per call and every default is immutable."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LabError, OverflowError, OSError) as exc:
+    except OverflowError as exc:
+        # A float ** overflow carries (34, 'Numerical result out of range').
+        reason = exc.args[-1] if exc.args else "result out of range"
+        print(f"error: floating-point overflow: {reason}", file=sys.stderr)
+        return 2
+    except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

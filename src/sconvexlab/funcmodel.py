@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError, EvalError, ExponentError
 from .means import OrderedInterval
 
@@ -78,7 +76,12 @@ class PowerSum:
         return PowerSum([(c / (p + 1.0), p + 1.0) for c, p in self.terms])
 
     def to_dsl(self) -> str:
-        """Render in the CLI function grammar; parse(to_dsl()) round-trips."""
+        """Render in the CLI function grammar.
+
+        Parsing the result gives back an equal sum for every non-empty sum
+        (an exponent of -0.0 returns as 0.0).  The empty sum renders as
+        "0.0", which parses to the one-term sum [(0.0, 0.0)].
+        """
         if not self.terms:
             return "0.0"
         parts = []
@@ -133,8 +136,10 @@ class CertResult:
     samples_checked: int
 
 
-def _grid_values(phi, points: np.ndarray) -> np.ndarray:
+def _grid_values(phi, points):
     """Evaluate phi on an array, falling back to a scalar loop."""
+    import numpy as np
+
     try:
         out = np.asarray(phi(points), dtype=float)
         if out.shape == points.shape:
@@ -227,6 +232,8 @@ def _certify(phi, s: float, lo: float, hi: float, concave: bool) -> CertResult:
     """
     if not 0.0 < lo < hi:
         raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
+    import numpy as np  # only the grid needs numpy; proofs and the CLI do not
+
     xs = np.linspace(lo, hi, _CERT_XY)
     ts = np.linspace(0.0, 1.0, _CERT_T)
 

@@ -42,8 +42,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError, SuiteError
 from .funcmodel import (
     FuncHandle,
@@ -255,8 +253,8 @@ def _hypothesis_function(th: Theorem, base, q: float):
     if th.hypothesis == "f":
         return base
     if th.hypothesis == "|f'|":
-        return lambda x: np.abs(base(x))
-    return lambda x: np.abs(base(x)) ** q
+        return lambda x: abs(base(x))
+    return lambda x: abs(base(x)) ** q
 
 
 def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = None) -> SuiteReport:

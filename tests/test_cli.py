@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sconvexlab
-from sconvexlab import THEOREMS, ParseError, PowerSum, parse_function_dsl
-from sconvexlab.cli import _parse_grid, dispatch
-from sconvexlab.errors import LabError
+from sconvexlab import THEOREMS, OrderedInterval, ParseError, PowerSum, SuiteConfig, evaluate_bound, parse_function_dsl
+from sconvexlab import cli
+from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch
+from sconvexlab.errors import LabError, MissingParam
 
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
@@ -68,6 +69,28 @@ class TestFunctionGrammar:
                 terms.append((coeff, exponent))
             ps = PowerSum(terms)
             assert parse_function_dsl(ps.to_dsl()) == ps
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, -1e308])),
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([-1.0, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    def test_roundtrip_property(self, terms):
+        # Finite terms with zeros of either sign, subnormals, huge values and
+        # p = -1.  An exponent of -0.0 comes back as 0.0, which compares equal.
+        ps = PowerSum(terms)
+        assert parse_function_dsl(ps.to_dsl()) == ps
+
+    def test_empty_sum_renders_as_zero_constant(self):
+        assert PowerSum([]).to_dsl() == "0.0"
+        assert parse_function_dsl("0.0") == PowerSum([(0.0, 0.0)])
 
 
 class TestCommands:
@@ -190,10 +213,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["defect", "--f", "1*x^400", "--a", "1", "--b", "10"],
         ["means", "--a", "1", "--b", "1e300", "--p", "3"],
+        ["defect", "--f", "1*x^-3", "--a", "1e-120", "--b", "1"],
+        ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5", "--q", "1e308"],
     ])
     def test_overflow_is_an_error(self, capsys, argv):
         assert dispatch(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: floating-point overflow: Numerical result out of range\n"
+
+    @pytest.mark.parametrize("p", ["-1", "0"])
+    def test_undefined_mean_prints_only_the_error(self, capsys, p):
+        assert dispatch(["means", "--a", "1", "--b", "2", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: generalized logarithmic mean undefined for p={float(p)}\n"
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--theorem", "pp", *BOUND_X2, "--q", "0"],
@@ -250,7 +284,73 @@ class TestExitCodes:
     def test_unwritable_out_or_non_finite_p_is_an_error(self, capsys, tmp_path, argv):
         argv = [arg.format(missing=tmp_path / "no" / "such" / "dir") for arg in argv]
         assert dispatch(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        if argv[0] == "means":
+            assert captured.out == ""
+
+
+def _outcome(capsys, argv):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """dispatch keeps one parser per process; no call may see another's state."""
+
+    def test_each_call_matches_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        sweep_out = str(tmp_path / "sweep.csv")
+        verify_out = str(tmp_path / "r.json")
+        calls = [
+            ["bound", "--theorem", "se2", *BOUND_X2, "--s", "0.5"],
+            ["nonsense"],
+            ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5", "--q", "2"],
+            ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5"],
+            ["bound", "--theorem", "se99", *BOUND_X2],
+            ["means", "--a", "1", "--b", "3", "--p", "2"],
+            ["means", "--a", "1", "--b", "3"],
+            ["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"],
+            ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--tol", "1e-30", "--out", verify_out],
+            ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--out", verify_out],
+            ["sweep", "--theorem", "se2", *BOUND_X2, "--s-grid", "0.2:1.0:0.2", "--out", sweep_out],
+            ["defect", "--a", "1", "--b", "4"],
+            ["--help"],
+            ["bound", "--help"],
+        ]
+        reused = [_outcome(capsys, argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [_outcome(capsys, argv) for argv in calls]
+        assert reused == fresh
+        # Each usage error (exit 2) is followed by a call that succeeds.
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 2, 0, 0, 0, 1, 0, 0, 2, 0, 0]
+
+    def test_no_value_leaks_between_calls(self, capsys):
+        argv = ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5"]
+        assert dispatch(argv + ["--q", "2"]) == 0
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        with pytest.raises(MissingParam) as missing:
+            evaluate_bound("se5", _handle_from_expr("1*x^2"), OrderedInterval(1.0, 3.0), s=0.5, q=None)
+        assert capsys.readouterr().err == f"error: {missing.value}\n"
+
+    def test_default_tolerances_come_back(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        run_suites = cli._run_suites
+        monkeypatch.setattr(cli, "_run_suites", lambda name, cfg: seen.append(cfg) or run_suites(name, cfg))
+        argv = ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--out", str(tmp_path / "r.json")]
+        assert dispatch(argv + ["--tol", "1e-30"]) == 1
+        assert dispatch(argv) == 0
+        assert seen[0].reduction_tol == 1e-30
+        assert seen[1] == SuiteConfig(seed=3, cases=10)
+
+    def test_help_and_usage_text(self, capsys):
+        assert dispatch(["--help"]) == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+        assert dispatch(["nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(build_parser().format_usage())
+        assert "invalid choice: 'nonsense'" in err
 
 
 Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "ppc", "adk")
@@ -282,3 +382,24 @@ def test_python_m_entry_point():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[0] == "A 2"
+
+
+def test_cli_never_imports_numpy_without_the_grid(tmp_path):
+    """Proved hypotheses leave numpy unloaded; only the grid fallback needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
+    script = (
+        "import sys\n"
+        "from sconvexlab.cli import dispatch\n"
+        "argv = ['verify', '--suite', 'all', '--cases', '20', '--seed', '42', '--format', 'csv', '--out', sys.argv[1]]\n"
+        "code = dispatch(argv)\n"
+        "print('numpy loaded', 'numpy' in sys.modules, 'exit', code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.csv")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded False exit 0"
