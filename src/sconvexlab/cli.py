@@ -178,6 +178,11 @@ def _cmd_verify(args) -> int:
         overrides = dict(identity_tol=args.tol, bound_tol=args.tol, reduction_tol=args.tol)
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, **overrides)
     reports = _run_suites(args.suite, cfg)
+    payload = reports[0] if len(reports) == 1 else reports
+    # Write the file before any output, so a failed write prints only its
+    # error line.
+    if args.out:
+        write_report(payload, args.out, args.format)
 
     total_violations = 0
     for report in reports:
@@ -190,9 +195,7 @@ def _cmd_verify(args) -> int:
         for note in report.notes:
             print(f"note: {note}")
 
-    payload = reports[0] if len(reports) == 1 else reports
     if args.out:
-        write_report(payload, args.out, args.format)
         print(f"report written to {args.out}")
     elif args.format == "csv":
         sys.stdout.write(render_csv(payload))

@@ -26,6 +26,9 @@ Four suites:
 Case i draws everything from sub-seed (seed XOR i), so parallel and serial
 runs would agree and identical configs produce identical reports.
 
+Report rows are CaseRow named tuples whose fields are the CSV columns
+after "suite", in column order.
+
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
 discrepancy and a case holds when margin >= -tol.
@@ -40,7 +43,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, SuiteError
 from .funcmodel import (
@@ -98,8 +101,10 @@ class SuiteConfig:
                 raise DomainError(f"tolerances must be finite and >= 0, got {tol}")
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(NamedTuple):
+    """One report row.  Its fields are the CSV columns after "suite", in
+    order, so render_csv writes (suite_id,) + row."""
+
     case: int
     theorem: str
     a: Optional[float]
@@ -335,15 +340,22 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     return _finish("reductions", cfg, rows, [], t0)
 
 
+def _quadrature_oracle(ps: PowerSum) -> FuncHandle:
+    """f and f' with no exact integral, so the defect's mean is integrated."""
+    return FuncHandle(value=ps, derivative=ps.derivative())
+
+
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     """Mean-expressed defects against quadrature, and proposition dominance."""
     t0 = time.perf_counter()
-    # Per family: its cross-check row id, s grid, mean-form defect, the
-    # underlying function (x^s or x^(1-s)/(1-s)) and its propositions, as
-    # (id, whether the row carries q).
+    # Per family: its cross-check row id, mean-form defect, propositions as
+    # (id, whether the row carries q), and for each s of its grid the
+    # quadrature oracle of the underlying function (x^s or x^(1-s)/(1-s)).
+    # An oracle depends on s alone, so each is built once per suite.
     families = [
-        (xcheck, s_grid, prop_lhs, underlying,
-         [(pid, carries_q) for pid, (pfamily, carries_q, _) in PROPOSITIONS.items() if pfamily == family])
+        (xcheck, prop_lhs,
+         [(pid, carries_q) for pid, (pfamily, carries_q, _) in PROPOSITIONS.items() if pfamily == family],
+         [(s, _quadrature_oracle(underlying(s))) for s in s_grid])
         for family, xcheck, s_grid, prop_lhs, underlying in (
             ("power", "prop_power_xcheck", _PROP_POWER_S, prop_power_lhs, lambda s: PowerSum([(1.0, s)])),
             ("recip", "prop_recip_xcheck", _PROP_RECIP_S, prop_recip_lhs,
@@ -358,10 +370,8 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
         iv = sample_interval(rng, _GEN)
         q = rng.choice(_Q_GRID)
 
-        for xcheck, s_grid, prop_lhs, underlying, props in families:
-            for s in s_grid:
-                ps = underlying(s)
-                oracle = FuncHandle(value=ps, derivative=ps.derivative())
+        for xcheck, prop_lhs, props, oracles in families:
+            for s, oracle in oracles:
                 defect = bullen_type_defect(oracle, iv)
                 lhs = prop_lhs(iv, s)
                 rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
@@ -395,20 +405,7 @@ def report_to_dict(report: SuiteReport) -> dict:
         "seed": report.seed,
         "cases_run": report.cases_run,
         "skipped": report.skipped,
-        "violations": [
-            {
-                "case": r.case,
-                "theorem": r.theorem,
-                "a": r.a,
-                "b": r.b,
-                "s": r.s,
-                "q": r.q,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-            }
-            for r in report.violations
-        ],
+        "violations": [{k: v for k, v in r._asdict().items() if k != "status"} for r in report.violations],
         "worst_margin": report.worst_margin,
         "warnings": report.warnings,
         "notes": list(report.notes),
@@ -434,8 +431,8 @@ def render_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for report in reports:
-        for r in report.rows:
-            writer.writerow((report.suite_id, r.case, r.theorem, r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin, r.status))
+        suite_id = report.suite_id
+        writer.writerows((suite_id,) + r for r in report.rows)
     return buf.getvalue()
 
 

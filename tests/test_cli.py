@@ -285,9 +285,10 @@ class TestExitCodes:
         argv = [arg.format(missing=tmp_path / "no" / "such" / "dir") for arg in argv]
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
+        # A failed call prints its error line and nothing on stdout.
         assert captured.err.startswith("error: ")
-        if argv[0] == "means":
-            assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def _outcome(capsys, argv):

@@ -19,8 +19,8 @@ from sconvexlab import (
     run_reduction_suite,
 )
 from sconvexlab.errors import SuiteError
-from sconvexlab.funcmodel import CertResult, FuncHandle
-from sconvexlab.harness import render_csv, render_json, report_to_dict
+from sconvexlab.funcmodel import CertResult, FuncHandle, PowerSum, sample_interval
+from sconvexlab.harness import CSV_HEADER, CaseRow, render_csv, render_json, report_to_dict
 
 CFG = SuiteConfig(seed=42, cases=40)
 
@@ -205,6 +205,35 @@ class TestPropSuite:
                 assert new == old
         assert moved == 3 * (len(harness._PROP_POWER_S) + len(harness._PROP_RECIP_S))
 
+    def test_rows_equal_oracle_built_per_case(self):
+        """The suite builds each s's oracle once; a copy that rebuilds it for
+        every case and s gives the same rows."""
+        cfg = SuiteConfig(seed=23, cases=4)
+        families = (
+            ("power", "prop_power_xcheck", harness._PROP_POWER_S, means_bounds.prop_power_lhs,
+             lambda s: PowerSum([(1.0, s)])),
+            ("recip", "prop_recip_xcheck", harness._PROP_RECIP_S, means_bounds.prop_recip_lhs,
+             lambda s: PowerSum([(1.0 / (1.0 - s), 1.0 - s)])),
+        )
+        expected = []
+        for i in range(cfg.cases):
+            rng = random.Random(cfg.seed ^ i)
+            iv = sample_interval(rng, harness._GEN)
+            q = rng.choice(harness._Q_GRID)
+            for family, xcheck, s_grid, prop_lhs, underlying in families:
+                for s in s_grid:
+                    ps = underlying(s)
+                    oracle = FuncHandle(value=ps, derivative=ps.derivative())
+                    lhs = prop_lhs(iv, s)
+                    defect = harness.bullen_type_defect(oracle, iv)
+                    expected.append(harness._match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
+                    for pid, (pfamily, carries_q, _) in means_bounds.PROPOSITIONS.items():
+                        if pfamily == family:
+                            q_row = q if carries_q else None
+                            rhs = means_bounds.prop_rhs(pid, iv, s, q_row)
+                            expected.append(harness._bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, cfg.bound_tol))
+        assert run_prop_crosscheck_suite(cfg).rows == tuple(expected)
+
 
 class TestReportSerialization:
     def test_json_schema_keys(self):
@@ -224,6 +253,11 @@ class TestReportSerialization:
         assert len(payload["violations"]) == 1
         entry = payload["violations"][0]
         assert entry["theorem"] == "identity" and entry["case"] == 0
+        row = report.violations[0]
+        assert entry == {
+            "case": 0, "theorem": "identity", "a": 1.0, "b": 3.0, "s": None, "q": None,
+            "lhs": row.lhs, "rhs": row.rhs, "margin": row.margin,
+        }
 
     def test_json_determinism_modulo_runtime(self):
         r1 = run_identity_suite(CFG)
@@ -240,6 +274,10 @@ class TestReportSerialization:
         lines = text.splitlines()
         assert lines[0] == "suite,case,theorem,a,b,s,q,lhs,rhs,margin,status"
         assert len(lines) == 1 + 4 * 8  # four reduction rows per case
+
+    def test_row_fields_are_the_csv_columns(self):
+        # A field added to CaseRow must not become a CSV column unnoticed.
+        assert CaseRow._fields == CSV_HEADER[1:]
 
     def test_render_json_list(self):
         reports = [run_reduction_suite(SuiteConfig(seed=1, cases=2))]

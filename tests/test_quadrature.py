@@ -7,6 +7,7 @@ import pytest
 
 from sconvexlab import DepthExhausted, DomainError, EvalError, OrderedInterval, integrate
 from sconvexlab.funcmodel import PowerSum, powersum_integral
+from sconvexlab.quadrature import QuadResult, _panel
 
 
 class TestKnownIntegrals:
@@ -33,6 +34,18 @@ class TestKnownIntegrals:
         r = integrate(lambda x: x ** 13, 0.0, 1.0)
         assert r.evaluations == 15
         assert r.value == pytest.approx(1 / 14, rel=1e-13)
+
+    def test_one_panel_returns_that_panel(self):
+        # When the first panel meets the tolerance, integrate returns it as is.
+        for f, lo, hi in [(lambda x: x ** 13, 0.0, 1.0), (math.exp, 0.0, 1.0), (lambda x: x ** 2.5, 1.0, 3.0)]:
+            assert integrate(f, lo, hi) == QuadResult(*_panel(f, lo, hi), 15)
+
+    def test_one_panel_zero_is_positive(self):
+        # The adaptive loop's fsum gives +0.0 for a -0.0 panel; so does the
+        # one-panel return.
+        r = integrate(lambda x: -0.0, 0.0, 1.0)
+        assert r.evaluations == 15
+        assert math.copysign(1.0, r.value) == 1.0
 
 
 class TestStructuralProperties:
@@ -94,6 +107,11 @@ class TestFailureModes:
             integrate(lambda x: x, 0.0, 1.0, abs_tol=0.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, 1.0, rel_tol=-1e-3)
+        # nan <= 0.0 is False: a NaN tolerance must be rejected, not bisected
+        # until the depth limit.
+        for tol in ("abs_tol", "rel_tol"):
+            with pytest.raises(DomainError):
+                integrate(lambda x: x, 0.0, 1.0, **{tol: float("nan")})
 
     def test_non_finite_integrand(self):
         with pytest.raises(EvalError):
