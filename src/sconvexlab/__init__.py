@@ -63,7 +63,6 @@ from .means_bounds import (
     se4_discrepancy,
 )
 from .harness import (
-    BOUND_THEOREMS,
     SuiteConfig,
     SuiteReport,
     run_bound_suite,

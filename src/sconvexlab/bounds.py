@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, MissingParam
+from .errors import DomainError, EvalError, MissingParam
 from .funcmodel import FuncHandle, as_s
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean
 from .quadrature import integrate
@@ -352,6 +352,7 @@ def evaluate_bound(
 
     Defect-style theorems report lhs = defect, rhs = bound.  Chain theorems
     (hh, hhs, bullen) report the tighter leg of the chain as (lhs, rhs).
+    A side that is not finite raises EvalError.
     """
     th = THEOREMS.get(theorem.lower())
     if th is None:
@@ -359,6 +360,9 @@ def evaluate_bound(
     if th.takes_s and s is None:
         raise MissingParam(f"{th.id} requires s")
     lhs, rhs = th.sides(f, iv.a, iv.b, s, q)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        # c * x**p overflows to inf without raising OverflowError.
+        raise EvalError(f"{th.id}: a side is not finite (lhs {lhs!r}, rhs {rhs!r})")
     s_row = as_s(s) if th.takes_s else None
     q_row = q if th.uses_q else None
     holds = verdict(lhs, rhs, DEFAULT_BOUND_TOL) != "violation"

@@ -28,7 +28,9 @@ se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
 tolerances must be finite and nonnegative; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
 double round trip.  An overflow prints "error: floating-point overflow:
-<reason>", and a failing means call prints only its error line.
+<reason>"; a bound side or defect that is not finite is an error too (a
+float power can overflow to inf without raising), and a failing call
+prints only its error line.
 
 dispatch builds the argparse parser once per process and reuses it;
 build_parser() still returns a fresh one.  numpy is imported only when the
@@ -45,7 +47,7 @@ import re
 import sys
 from typing import Optional
 
-from .errors import LabError, ParseError
+from .errors import EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .harness import (
     SuiteConfig,
@@ -142,7 +144,10 @@ def _cmd_means(args) -> int:
 def _cmd_defect(args) -> int:
     f = _handle_from_expr(args.f)
     iv = OrderedInterval(args.a, args.b)
-    print(_fmt(bullen_type_defect(f, iv)))
+    defect = bullen_type_defect(f, iv)
+    if not math.isfinite(defect):
+        raise EvalError(f"the defect is not finite ({defect!r})")
+    print(_fmt(defect))
     return 0
 
 
@@ -163,8 +168,7 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
     if name in ("identity", "all"):
         reports.append(run_identity_suite(cfg))
     if name in ("bounds", "all"):
-        certified: dict = {}  # shared hypotheses are certified once per run
-        reports.extend(run_bound_suite(cfg, th, certified) for th in THEOREMS)
+        reports.extend(run_bound_suite(cfg, th) for th in THEOREMS)
     if name in ("reductions", "all"):
         reports.append(run_reduction_suite(cfg))
     if name in ("props", "all"):

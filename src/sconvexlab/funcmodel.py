@@ -110,7 +110,6 @@ class FuncHandle:
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     exact_integral: Optional[Callable[[OrderedInterval], float]] = None
-    descriptor: str = ""
 
 
 def handle_from_power_sum(ps: PowerSum) -> FuncHandle:
@@ -119,7 +118,6 @@ def handle_from_power_sum(ps: PowerSum) -> FuncHandle:
         value=ps,
         derivative=dps,
         exact_integral=lambda iv: powersum_integral(ps, iv),
-        descriptor=ps.to_dsl(),
     )
 
 
@@ -313,6 +311,5 @@ def sample_dconvex_instance(rng: random.Random, cfg: GenConfig) -> tuple[FuncHan
         value=f,
         derivative=dps,
         exact_integral=lambda window: powersum_integral(f, window),
-        descriptor=f.to_dsl(),
     )
     return handle, sample_interval(rng, cfg)

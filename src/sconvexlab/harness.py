@@ -10,12 +10,7 @@ Four suites:
                 fallback.  A rule of funcmodel.prove_hypothesis proves it
                 from the power-sum terms; when none applies the grid
                 certifier samples it, and cases that fail the grid are
-                skipped and counted.  Several theorems
-                assume the same hypothesis on the same instances, so one
-                verify run hands its bound suites one memo of
-                certification outcomes and certifies each shared
-                hypothesis once; a skip then shows in every suite of its
-                group;
+                skipped and counted;
 * reductions  - the s -> 1 and q -> 1 collapses onto the convex-case
                 bounds, checked as relative discrepancies;
 * props       - the mean-expressed proposition defects against quadrature
@@ -74,8 +69,6 @@ from .bounds import (
     verdict,
 )
 from .means_bounds import PROPOSITIONS, prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
-
-BOUND_THEOREMS = tuple(tid.upper() for tid in THEOREMS)
 
 # The s and q values cases draw from, and the instance sampler's settings.
 _S_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -262,26 +255,18 @@ def _hypothesis_function(th: Theorem, base, q: float):
     return lambda x: abs(base(x)) ** q
 
 
-def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = None) -> SuiteReport:
+def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
     """Assert one inequality over certified instances; skip failed hypotheses.
 
-    Each case's hypothesis is certified proof first, grid as fallback:
+    Each case certifies its own hypothesis, proof first, grid as fallback:
     prove_hypothesis tries its rules on the power sum the hypothesis
-    function is built from, and only when it returns None (or that base is
-    not a PowerSum) does the grid certifier run on the case's window.  A
-    case whose hypothesis fails the grid is skipped.
-
-    certified, when given, maps the certifier's exact inputs to its outcome.
-    The suite looks each case up in it before certifying and stores the
-    outcome after, so suites that share one dict certify a shared
-    hypothesis once.  Equal inputs give equal outcomes, so the report is
-    the same with or without it.
+    function is built from, and only when it returns None does the grid
+    certifier run on the case's window.  A case whose hypothesis fails the
+    grid is skipped.
     """
     th = THEOREMS.get(theorem.lower())
     if th is None:
         raise DomainError(f"unknown bound suite {theorem!r}")
-    if certified is None:
-        certified = {}
     t0 = time.perf_counter()
     rows: list[CaseRow] = []
 
@@ -296,18 +281,13 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str, certified: Optional[dict] = 
 
         base = f.value if th.hypothesis == "f" else f.derivative
         s_cert = s if th.takes_s else 1.0
-        lo = a if a > 0.0 else 1e-3 * b
-        key = (th.hypothesis, base, q_row, s_cert, lo, b, th.concave)
-        if key not in certified:
-            if isinstance(base, PowerSum) and prove_hypothesis(base, th.hypothesis, s_cert, q, th.concave):
-                certified[key] = True
-            elif th.concave:
-                certified[key] = certify_concave(_hypothesis_function(th, base, q), lo, b).certified
-            else:
-                certified[key] = certify_s_convex(_hypothesis_function(th, base, q), s_cert, lo, b).certified
-        if not certified[key]:
-            rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
-            continue
+        if not prove_hypothesis(base, th.hypothesis, s_cert, q, th.concave):
+            phi = _hypothesis_function(th, base, q)
+            lo = a if a > 0.0 else 1e-3 * b
+            cert = certify_concave(phi, lo, b) if th.concave else certify_s_convex(phi, s_cert, lo, b)
+            if not cert.certified:
+                rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
+                continue
         lhs, rhs = th.sides(f, a, b, s, q)
         rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, cfg.bound_tol))
 

@@ -96,7 +96,7 @@ class TestLemmaIdentity:
             lhs = bullen_defect_signed(f, iv)
             rhs = lemma_identity_rhs(f, iv)
             assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs)), (
-                f"identity broke for {f.descriptor} on {iv}: {lhs} vs {rhs}"
+                f"identity broke for {f.value.to_dsl()} on {iv}: {lhs} vs {rhs}"
             )
 
 

@@ -280,15 +280,22 @@ class TestExitCodes:
         ["sweep", "--theorem", "se2", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--out", "{missing}/x.csv"],
         ["means", "--a", "1", "--b", "2", "--p", "nan"],
         ["means", "--a", "1", "--b", "2", "--p", "inf"],
+        # c * x**p overflows to inf silently: a non-finite side or defect.
+        ["bound", "--theorem", "se2", "--f", "1e307*x^2", "--a", "1", "--b", "10", "--s", "1"],
+        ["sweep", "--theorem", "se2", "--f", "1e307*x^2", "--a", "1", "--b", "10", "--s-grid", "0.5:1:0.5",
+         "--out", "{tmp}/x.csv"],
+        ["defect", "--f", "1e307*x^2", "--a", "1", "--b", "10"],
     ])
     def test_unwritable_out_or_non_finite_p_is_an_error(self, capsys, tmp_path, argv):
-        argv = [arg.format(missing=tmp_path / "no" / "such" / "dir") for arg in argv]
+        argv = [arg.format(missing=tmp_path / "no" / "such" / "dir", tmp=tmp_path) for arg in argv]
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
-        # A failed call prints its error line and nothing on stdout.
+        # A failed call prints its error line and nothing on stdout, and
+        # writes no file.
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def _outcome(capsys, argv):

@@ -302,13 +302,13 @@ class TestGenerator:
     def test_determinism(self):
         left = _certified_instance(1234, 0.5)
         right = _certified_instance(1234, 0.5)
-        assert left[0].descriptor == right[0].descriptor
+        assert left[0].value == right[0].value
         assert left[1] == right[1]
         assert left[2] == right[2]
 
     def test_distinct_seeds_differ(self):
-        a = _certified_instance(0, 0.5)[0].descriptor
-        b = _certified_instance(1, 0.5)[0].descriptor
+        a = _certified_instance(0, 0.5)[0].value
+        b = _certified_instance(1, 0.5)[0].value
         assert a != b
 
     def test_certificate_is_returned(self):

@@ -9,7 +9,7 @@ import sconvexlab.cli as cli
 import sconvexlab.harness as harness
 import sconvexlab.means_bounds as means_bounds
 from sconvexlab import (
-    BOUND_THEOREMS,
+    THEOREMS,
     DomainError,
     OrderedInterval,
     SuiteConfig,
@@ -53,11 +53,11 @@ class TestIdentitySuite:
 
 
 class TestBoundSuites:
-    @pytest.mark.parametrize("theorem", BOUND_THEOREMS)
+    @pytest.mark.parametrize("theorem", THEOREMS, ids=str.upper)
     def test_no_violations(self, theorem):
         report = run_bound_suite(SuiteConfig(seed=11, cases=25), theorem)
         assert report.violations == (), f"{theorem}: {report.violations}"
-        assert report.suite_id == f"bounds:{theorem.lower()}"
+        assert report.suite_id == f"bounds:{theorem}"
         assert report.skipped == 0
 
     def test_unknown_theorem(self):
@@ -80,7 +80,7 @@ class TestBoundSuites:
 
     def test_partial_skip_counted(self, monkeypatch):
         cfg = SuiteConfig(seed=1, cases=4)
-        evaluated = {th: run_bound_suite(cfg, th).rows[0] for th in BOUND_THEOREMS}
+        evaluated = {th: run_bound_suite(cfg, th).rows[0] for th in THEOREMS}
         calls = {"i": 0}
 
         def flaky(real):
@@ -95,7 +95,7 @@ class TestBoundSuites:
         _proofs_off(monkeypatch)
         monkeypatch.setattr(harness, "certify_s_convex", flaky(harness.certify_s_convex))
         monkeypatch.setattr(harness, "certify_concave", flaky(harness.certify_concave))
-        for theorem in BOUND_THEOREMS:
+        for theorem in THEOREMS:
             calls["i"] = 0
             report = run_bound_suite(cfg, theorem)
             assert report.skipped == 1, theorem
@@ -106,14 +106,12 @@ class TestBoundSuites:
             assert (skipped.a, skipped.b, skipped.s, skipped.q) == (full.a, full.b, full.s, full.q), theorem
 
 
-class TestCertificationMemo:
+class TestGridFallback:
     @staticmethod
-    def _count_certifier_calls(monkeypatch, calls, fail_first=False, proofs=False):
+    def _count_certifier_calls(monkeypatch, calls, proofs=False):
         def counting(real):
             def certify(*args, **kwargs):
                 calls["n"] += 1
-                if fail_first and calls["n"] == 1:
-                    return CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
                 return real(*args, **kwargs)
 
             return certify
@@ -123,22 +121,22 @@ class TestCertificationMemo:
         monkeypatch.setattr(harness, "certify_s_convex", counting(harness.certify_s_convex))
         monkeypatch.setattr(harness, "certify_concave", counting(harness.certify_concave))
 
-    def test_verify_certifies_each_shared_hypothesis_once(self, monkeypatch, tmp_path, capsys):
+    def test_verify_certifies_every_case_on_the_grid(self, monkeypatch, tmp_path):
         calls = {"n": 0}
         self._count_certifier_calls(monkeypatch, calls)
         reports = {}
 
-        def recording(cfg, theorem, *args, **kwargs):
-            report = run_bound_suite(cfg, theorem, *args, **kwargs)
+        def recording(cfg, theorem):
+            report = run_bound_suite(cfg, theorem)
             reports[theorem] = report
             return report
 
         monkeypatch.setattr(cli, "run_bound_suite", recording)
         argv = ["verify", "--suite", "bounds", "--cases", "5", "--seed", "42", "--out", str(tmp_path / "r.json")]
         assert cli.dispatch(argv) == 0
-        # 65 certifications, 31 of them distinct.
-        assert calls["n"] == 31
-        assert list(reports) == [th.lower() for th in BOUND_THEOREMS]
+        # 13 suites x 5 cases, each certified on its own.
+        assert calls["n"] == 65
+        assert list(reports) == list(THEOREMS)
         cfg = SuiteConfig(seed=42, cases=5)
         for theorem, report in reports.items():
             assert report.rows == run_bound_suite(cfg, theorem).rows, theorem
@@ -152,22 +150,22 @@ class TestCertificationMemo:
         monkeypatch.undo()
         self._count_certifier_calls(monkeypatch, grid)
         assert cli.dispatch(argv + [str(tmp_path / "grid.csv")]) == 0
-        assert grid["n"] == 31
+        assert grid["n"] == 65
         assert (tmp_path / "proved.csv").read_text() == (tmp_path / "grid.csv").read_text()
 
-    def test_a_skip_belongs_to_the_hypothesis(self, monkeypatch):
-        # s1 and da both assume |f'| convex on the same instances.
-        calls = {"n": 0}
-        self._count_certifier_calls(monkeypatch, calls, fail_first=True)
-        cfg = SuiteConfig(seed=1, cases=4)
-        certified = {}
-        s1 = run_bound_suite(cfg, "s1", certified)
-        assert calls["n"] == cfg.cases
-        da = run_bound_suite(cfg, "da", certified)
-        assert calls["n"] == cfg.cases
-        for report in (s1, da):
-            assert report.skipped == 1
-            assert report.rows[0].status == "skipped"
+    def test_no_generated_case_reaches_the_grid(self, monkeypatch):
+        """Every instance family meets a proof rule by construction, so the
+        grid is only a fallback; a family that sends cases to it fails here."""
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a generated case reached the grid certifier")
+
+        monkeypatch.setattr(harness, "certify_s_convex", no_grid)
+        monkeypatch.setattr(harness, "certify_concave", no_grid)
+        for seed in (1, 2, 3, 42, 7331):
+            cfg = SuiteConfig(seed=seed, cases=200)
+            for theorem in THEOREMS:
+                assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
 
 
 class TestReductionSuite:
