@@ -34,6 +34,7 @@ from .funcmodel import (
     PowerSum,
     certify_concave,
     certify_s_convex,
+    check_hypothesis,
     handle_from_power_sum,
     powersum_integral,
     prove_hypothesis,
@@ -41,7 +42,6 @@ from .funcmodel import (
 from .bounds import (
     THEOREMS,
     BoundReport,
-    HolderPair,
     bound_s1,
     bound_s2,
     bound_s3,

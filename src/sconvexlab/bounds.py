@@ -57,19 +57,6 @@ def check_q(q, bound: str, strict: bool) -> float:
 
 
 @dataclass(frozen=True)
-class HolderPair:
-    """Conjugate exponents 1/p + 1/q = 1 with q > 1 (hence p > 1)."""
-
-    q: float
-    p: float = 0.0
-
-    def __post_init__(self):
-        q = check_q(self.q, "Holder exponent", strict=True)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", q / (q - 1.0))
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One evaluated inequality: sides, margin, and the verdict."""
 
@@ -153,12 +140,13 @@ def bound_se2(df_a: float, df_b: float, iv: OrderedInterval, s) -> float:
     return c1 * df_a + c2 * df_b
 
 
-def bound_se5(df_a: float, df_b: float, iv: OrderedInterval, s, hq: HolderPair) -> float:
-    """Holder-split bound for s-convex |f'|^q, scaled by L_p(a, b)."""
+def bound_se5(df_a: float, df_b: float, iv: OrderedInterval, s, q) -> float:
+    """Holder-split bound for s-convex |f'|^q, q > 1, scaled by L_p(a, b)
+    with p = q / (q - 1) the conjugate exponent."""
+    q = check_q(q, "Holder exponent", strict=True)
     sv = as_s(s)
-    q = hq.q
     w = 2.0 ** (sv + 1.0) - 1.0
-    prefactor = gen_log_mean(iv, hq.p) / (4.0 * (2.0 ** sv * (sv + 1.0)) ** (1.0 / q))
+    prefactor = gen_log_mean(iv, q / (q - 1.0)) / (4.0 * (2.0 ** sv * (sv + 1.0)) ** (1.0 / q))
     bracket = (df_b ** q + w * df_a ** q) ** (1.0 / q) + (df_a ** q + w * df_b ** q) ** (1.0 / q)
     return prefactor * bracket
 
@@ -190,10 +178,9 @@ def bound_s1(df_a: float, df_b: float, iv: OrderedInterval) -> float:
 
 def bound_s2(df_a: float, df_b: float, iv: OrderedInterval, q) -> float:
     """Convex-case Holder bound for convex |f'|^q, q > 1, scaled by L_p(a, b)."""
-    hq = HolderPair(q)
-    q = hq.q
+    q = check_q(q, "Holder exponent", strict=True)
     bracket = (df_b ** q + 3.0 * df_a ** q) ** (1.0 / q) + (df_a ** q + 3.0 * df_b ** q) ** (1.0 / q)
-    return gen_log_mean(iv, hq.p) / 4.0 ** (1.0 + 1.0 / q) * bracket
+    return gen_log_mean(iv, q / (q - 1.0)) / 4.0 ** (1.0 + 1.0 / q) * bracket
 
 
 def bound_s3(df_a: float, df_b: float, iv: OrderedInterval, q) -> float:
@@ -320,7 +307,7 @@ THEOREMS = {th.id: th for th in (
     Theorem("se2", True, "|f'|", False, "dconvex+sterm",
             _endpoint_sides(lambda da, db, iv, s, q: bound_se2(da, db, iv, s))),
     Theorem("se5", True, "|f'|^q", False, "dconvex+sterm",
-            _endpoint_sides(lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q)))),
+            _endpoint_sides(lambda da, db, iv, s, q: bound_se5(da, db, iv, s, q))),
     Theorem("se6", True, "|f'|^q", False, "dconvex+sterm",
             _endpoint_sides(lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q))),
     Theorem("s1", False, "|f'|", False, "dconvex",

@@ -5,8 +5,8 @@ derivative and antiderivative, valid on (0, inf).  FuncHandle packages a
 function together with its derivative and, when available, an exact
 definite integral, which is what every inequality evaluator consumes.
 
-The harness establishes each instance's hypothesis before asserting a
-bound on it: proof first, grid as fallback.  prove_hypothesis proves the
+check_hypothesis establishes a case's hypothesis before a bound is
+asserted on it: proof first, grid as fallback.  prove_hypothesis proves the
 s-convexity (or concavity) of f, |f'| or |f'|^q on (0, inf) from the
 power-sum terms, comparing exponents exactly, and names the rule it used.
 When no rule applies, the sampling certifier checks the inequality
@@ -94,12 +94,13 @@ class PowerSum:
 
 
 def powersum_integral(ps: PowerSum, iv: OrderedInterval) -> float:
-    """Exact definite integral over the interval via term-wise antiderivative."""
+    """Exact definite integral, term by term; c*x^-1 integrates to c*log(b/a)."""
     total = 0.0
     for c, p in ps.terms:
         if p == -1.0:
-            raise ExponentError("term with exponent -1 has no power-function antiderivative")
-        total += c * (iv.b ** (p + 1.0) - iv.a ** (p + 1.0)) / (p + 1.0)
+            total += c * math.log1p((iv.b - iv.a) / iv.a)
+        else:
+            total += c * (iv.b ** (p + 1.0) - iv.a ** (p + 1.0)) / (p + 1.0)
     return total
 
 
@@ -132,20 +133,6 @@ class CertResult:
     certified: bool
     counterexample: Optional[tuple[float, float, float, float, float]]
     samples_checked: int
-
-
-def _grid_values(phi, points):
-    """Evaluate phi on an array, falling back to a scalar loop."""
-    import numpy as np
-
-    try:
-        out = np.asarray(phi(points), dtype=float)
-        if out.shape == points.shape:
-            return out
-    except (TypeError, ValueError):
-        # What a scalar-only callable raises when handed an array.
-        pass
-    return np.array([phi(float(v)) for v in points.ravel()], dtype=float).reshape(points.shape)
 
 
 def _cmp_product(p: float, k: float, r: float) -> int:
@@ -210,9 +197,10 @@ def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Opti
 def certify_s_convex(phi: Callable[[float], float], s, lo: float, hi: float) -> CertResult:
     """Check s-convexity in the second sense on a uniform sample grid.
 
-    Violations smaller than CERT_TOL * (1 + |rhs|) are ignored as
-    floating-point slack.  Raises EvalError if phi is non-finite anywhere
-    on the grid.
+    phi must map an array to an array of the same shape, or to a scalar
+    when it is constant.  Violations
+    smaller than CERT_TOL * (1 + |rhs|) are ignored as floating-point slack.
+    Raises EvalError if phi is non-finite anywhere on the grid.
     """
     return _certify(phi, as_s(s), lo, hi, concave=False)
 
@@ -235,29 +223,46 @@ def _certify(phi, s: float, lo: float, hi: float, concave: bool) -> CertResult:
     xs = np.linspace(lo, hi, _CERT_XY)
     ts = np.linspace(0.0, 1.0, _CERT_T)
 
-    px = _grid_values(phi, xs)
+    # A constant phi may return a scalar: the empty power sum (the derivative
+    # of a constant) returns 0.0 for any input.
+    px = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
     mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
-    pmix = _grid_values(phi, mix)
+    pmix = np.broadcast_to(np.asarray(phi(mix), dtype=float), mix.shape)
     if not (np.isfinite(px).all() and np.isfinite(pmix).all()):
         raise EvalError("function returned a non-finite value on the certification grid")
 
     rhs = ts[None, None, :] ** s * px[:, None, None] + (1.0 - ts[None, None, :]) ** s * px[None, :, None]
-    # A full-grid array (183 KB) sits near the C allocator's trim threshold,
-    # where each extra one can cost fresh page faults, so the slack is built
-    # in place and the excess reuses mix.
-    slack = np.abs(rhs)
-    slack += 1.0
-    slack *= CERT_TOL
-    excess = np.subtract(pmix, rhs, out=mix)
-    if concave:
-        np.negative(excess, out=excess)
-    excess -= slack
+    excess = (rhs - pmix if concave else pmix - rhs) - CERT_TOL * (1.0 + np.abs(rhs))
     samples = excess.size
     if not (excess > 0.0).any():
         return CertResult(True, None, samples)
     i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
     witness = (float(xs[i]), float(xs[j]), float(ts[k]), float(pmix[i, j, k]), float(rhs[i, j, k]))
     return CertResult(False, witness, samples)
+
+
+def check_hypothesis(f: FuncHandle, hypothesis: str, s, q, concave: bool, a: float, b: float) -> Optional[str]:
+    """Establish that f, |f'| or |f'|^q (the hypothesis) is s-convex, or
+    concave when concave, for f on [a, b]: proof first, grid as fallback.
+
+    Returns the prove_hypothesis rule for the power sum the hypothesis is
+    about (f.value for "f", else f.derivative) when one applies.  Otherwise
+    the grid certifies phi, which is that sum, |sum| or |sum|^q, on [a, b]
+    (on [1e-3 * b, b] when a = 0): "grid" when it passes, None when not.
+    """
+    ps = f.value if hypothesis == "f" else f.derivative
+    rule = prove_hypothesis(ps, hypothesis, s, q, concave)
+    if rule is not None:
+        return rule
+    if hypothesis == "f":
+        phi = ps
+    elif hypothesis == "|f'|":
+        phi = lambda x: abs(ps(x))
+    else:
+        phi = lambda x: abs(ps(x)) ** q
+    lo = a if a > 0.0 else 1e-3 * b
+    cert = certify_concave(phi, lo, b) if concave else certify_s_convex(phi, s, lo, b)
+    return "grid" if cert.certified else None
 
 
 @dataclass(frozen=True)

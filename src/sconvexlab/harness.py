@@ -4,13 +4,12 @@ Four suites:
 
 * identity    - the signed defect equals the weighted derivative integrals
                 (an exact identity, checked to identity_tol);
-* bounds      - one sub-suite per inequality; each case certifies the
+* bounds      - one sub-suite per inequality; each case establishes the
                 hypothesis it needs (|f'| or |f'|^q s-convex, concave, or
-                f itself convex) before asserting: proof first, grid as
-                fallback.  A rule of funcmodel.prove_hypothesis proves it
-                from the power-sum terms; when none applies the grid
-                certifier samples it, and cases that fail the grid are
-                skipped and counted;
+                f itself convex) with funcmodel.check_hypothesis before
+                asserting: a proof from the power-sum terms, or the grid
+                certifier when no rule applies.  Cases that fail the grid
+                are skipped and counted;
 * reductions  - the s -> 1 and q -> 1 collapses onto the convex-case
                 bounds, checked as relative discrepancies;
 * props       - the mean-expressed proposition defects against quadrature
@@ -45,17 +44,14 @@ from .funcmodel import (
     FuncHandle,
     GenConfig,
     PowerSum,
-    certify_concave,
-    certify_s_convex,
+    check_hypothesis,
     handle_from_power_sum,
-    prove_hypothesis,
     sample_dconvex_instance,
     sample_interval,
 )
 from .means import OrderedInterval
 from .bounds import (
     THEOREMS,
-    HolderPair,
     Theorem,
     bound_s1,
     bound_s2,
@@ -245,24 +241,12 @@ def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: f
     return f, iv.a, iv.b, s
 
 
-def _hypothesis_function(th: Theorem, base, q: float):
-    """The function the theorem assumes s-convex or concave: f, |f'| or
-    |f'|^q, built from base (f for "f", else f')."""
-    if th.hypothesis == "f":
-        return base
-    if th.hypothesis == "|f'|":
-        return lambda x: abs(base(x))
-    return lambda x: abs(base(x)) ** q
-
-
 def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
     """Assert one inequality over certified instances; skip failed hypotheses.
 
-    Each case certifies its own hypothesis, proof first, grid as fallback:
-    prove_hypothesis tries its rules on the power sum the hypothesis
-    function is built from, and only when it returns None does the grid
-    certifier run on the case's window.  A case whose hypothesis fails the
-    grid is skipped.
+    Each case passes the theorem's hypothesis to funcmodel.check_hypothesis
+    on its own window, and is skipped when that returns None: no rule
+    proves the hypothesis and the grid does not certify it.
     """
     th = THEOREMS.get(theorem.lower())
     if th is None:
@@ -278,16 +262,10 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
         f, a, b, s = _draw_instance(th, i, rng, inst_seed, s, q)
         s_row = s if th.takes_s else None
         q_row = q if th.uses_q else None
-
-        base = f.value if th.hypothesis == "f" else f.derivative
         s_cert = s if th.takes_s else 1.0
-        if not prove_hypothesis(base, th.hypothesis, s_cert, q, th.concave):
-            phi = _hypothesis_function(th, base, q)
-            lo = a if a > 0.0 else 1e-3 * b
-            cert = certify_concave(phi, lo, b) if th.concave else certify_s_convex(phi, s_cert, lo, b)
-            if not cert.certified:
-                rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
-                continue
+        if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave, a, b) is None:
+            rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
+            continue
         lhs, rhs = th.sides(f, a, b, s, q)
         rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, cfg.bound_tol))
 
@@ -308,7 +286,7 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
 
         pairs = [
             ("se2_s1_vs_s1", 1.0, None, bound_se2(df_a, df_b, iv, 1.0), bound_s1(df_a, df_b, iv)),
-            ("se5_s1_vs_s2", 1.0, q, bound_se5(df_a, df_b, iv, 1.0, HolderPair(q)), bound_s2(df_a, df_b, iv, q)),
+            ("se5_s1_vs_s2", 1.0, q, bound_se5(df_a, df_b, iv, 1.0, q), bound_s2(df_a, df_b, iv, q)),
             ("se6_s1_vs_s3", 1.0, q, bound_se6(df_a, df_b, iv, 1.0, q), bound_s3(df_a, df_b, iv, q)),
             ("se6_q1_vs_se2", s, 1.0, bound_se6(df_a, df_b, iv, s, 1.0), bound_se2(df_a, df_b, iv, s)),
         ]

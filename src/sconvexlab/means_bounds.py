@@ -33,7 +33,7 @@ from .means import (
     geometric_mean,
     power_diff_quotient,
 )
-from .bounds import HolderPair, bound_se2, bound_se5, bound_se6, se2_weights
+from .bounds import bound_se2, bound_se5, bound_se6, se2_weights
 
 
 def _require_recip_s(s: float):
@@ -91,9 +91,9 @@ def _recip_df(iv: OrderedInterval, s: float) -> tuple[float, float]:
 PROPOSITIONS = {
     "se3": ("power", False, lambda da, db, iv, s, q: bound_se2(da, db, iv, s)),
     "se7": ("power", True, lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q)),
-    "se8": ("power", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q))),
+    "se8": ("power", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, q)),
     "se4": ("recip", False, lambda da, db, iv, s, q: bound_se2(da, db, iv, s)),
-    "se9": ("recip", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, HolderPair(q))),
+    "se9": ("recip", True, lambda da, db, iv, s, q: bound_se5(da, db, iv, s, q)),
     "se10": ("recip", True, lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q)),
 }
 

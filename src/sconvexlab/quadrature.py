@@ -5,9 +5,10 @@ Gauss rule.  The Gauss value is a by-product of the same 15 function
 evaluations, and the difference between the two estimates drives the error
 estimator.  Refinement is globally adaptive: the panel with the largest
 estimated error is bisected until the summed estimate meets the requested
-tolerance.  The worst-panel queue breaks ties on interval position and the
-final sum runs over panels ordered left to right, so results are fully
-deterministic for fixed inputs.
+tolerance.  The worst-panel queue breaks ties on interval position, so the
+same panels are bisected in the same order, and the sums are math.fsum,
+which is correctly rounded and so independent of the panels' order: results
+are fully deterministic for fixed inputs.
 
 The error estimator follows standard practice for this rule pair: the raw
 difference |K15 - G7| is rescaled by the panel's deviation integral, which
@@ -163,8 +164,4 @@ def integrate(
         evaluations += 30
         heapq.heappush(panels, (-lerr, a, mid, lval, depth + 1))
         heapq.heappush(panels, (-rerr, mid, b, rval, depth + 1))
-
-    panels.sort(key=lambda p: p[1])
-    value = math.fsum(p[3] for p in panels)
-    err = math.fsum(-p[0] for p in panels)
     return QuadResult(value, err, evaluations)

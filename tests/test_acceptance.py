@@ -12,7 +12,6 @@ import random
 import pytest
 
 from sconvexlab import (
-    HolderPair,
     OrderedInterval,
     PowerSum,
     SuiteConfig,
@@ -96,7 +95,7 @@ def test_criterion_4_reductions_to_convex_case():
 
         # spot sample quoted in the operation contract
         iv = OrderedInterval(1, 3)
-        se5_at_one = bound_se5(2.0, 6.0, iv, 1.0, HolderPair(2.0))
+        se5_at_one = bound_se5(2.0, 6.0, iv, 1.0, 2.0)
         assert se5_at_one == pytest.approx(bound_s2(2.0, 6.0, iv, 2.0), rel=1e-12)
         assert bound_se6(2.0, 6.0, iv, 0.5, 1.0) == pytest.approx(bound_se2(2.0, 6.0, iv, 0.5), rel=1e-12)
         ok = True

@@ -13,7 +13,6 @@ import pytest
 
 from sconvexlab import (
     DomainError,
-    HolderPair,
     MissingParam,
     OrderedInterval,
     PowerSum,
@@ -144,10 +143,10 @@ class TestBoundSe2:
 
 class TestBoundSe5:
     def test_anchor_s1_q2(self):
-        assert bound_se5(2.0, 6.0, IV13, 1.0, HolderPair(2.0)) == pytest.approx(4.556560911375046, rel=1e-12)
+        assert bound_se5(2.0, 6.0, IV13, 1.0, 2.0) == pytest.approx(4.556560911375046, rel=1e-12)
 
     def test_zero_derivative(self):
-        assert bound_se5(0.0, 0.0, IV13, 0.5, HolderPair(1.5)) == 0.0
+        assert bound_se5(0.0, 0.0, IV13, 0.5, 1.5) == 0.0
 
     def test_s1_prefactor_and_weights(self):
         """At s=1 the prefactor is L_p / 4^(1+1/q) and the q-bracket weights
@@ -157,7 +156,7 @@ class TestBoundSe5:
             iv = random_interval(rng)
             q = rng.uniform(1.01, 5.0)
             df_a, df_b = rng.uniform(0, 3), rng.uniform(0, 3)
-            assert bound_se5(df_a, df_b, iv, 1.0, HolderPair(q)) == pytest.approx(
+            assert bound_se5(df_a, df_b, iv, 1.0, q) == pytest.approx(
                 bound_s2(df_a, df_b, iv, q), rel=1e-12
             )
 
@@ -171,10 +170,14 @@ class TestBoundSe5:
             assert high == pytest.approx((2 ** (s + 1) - 1) / (2 ** s * (s + 1)), rel=1e-10)
 
     def test_holder_pair_validation(self):
-        with pytest.raises(DomainError):
-            HolderPair(1.0)
-        assert HolderPair(2.0).p == 2.0
-        assert HolderPair(3.0).p == pytest.approx(1.5, rel=1e-15)
+        # The Holder bounds need q > 1, so that p = q / (q - 1) is finite.
+        with pytest.raises(DomainError, match="Holder exponent"):
+            bound_se5(2.0, 6.0, IV13, 1.0, 1.0)
+        # q is checked before s.
+        with pytest.raises(DomainError, match="Holder exponent requires a finite q > 1, got 0.5"):
+            bound_se5(2.0, 6.0, IV13, 2.0, 0.5)
+        with pytest.raises(DomainError, match="Holder exponent"):
+            bound_s2(2.0, 6.0, IV13, 1.0)
 
 
 class TestBoundSe6:
@@ -324,7 +327,7 @@ class TestDominanceOnCertifiedFamily:
             for s in (0.25, 0.5, 1.0):
                 assert defect <= bound_se2(df_a, df_b, iv, s) + 1e-9
                 for q in (1.5, 2.0, 3.0):
-                    assert defect <= bound_se5(df_a, df_b, iv, s, HolderPair(q)) + 1e-9
+                    assert defect <= bound_se5(df_a, df_b, iv, s, q) + 1e-9
                     assert defect <= bound_se6(df_a, df_b, iv, s, q) + 1e-9
 
 

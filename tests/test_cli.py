@@ -98,6 +98,11 @@ class TestCommands:
         assert dispatch(["defect", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 0
         assert capsys.readouterr().out.strip() == "3.83333333333333"
 
+    def test_defect_of_reciprocal(self, capsys):
+        # x^-1 integrates to log(b/a), exactly.
+        assert dispatch(["defect", "--f", "1*x^-1", "--a", "1", "--b", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "0.390186152773388"
+
     def test_bound_equality_case(self, capsys):
         code = dispatch(["bound", "--theorem", "se2", "--f", "1*x^2", "--a", "1", "--b", "3", "--s", "1"])
         out = capsys.readouterr().out.splitlines()
@@ -398,9 +403,11 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
     script = (
         "import sys\n"
         "from sconvexlab.cli import dispatch\n"
+        "from sconvexlab.funcmodel import PowerSum, check_hypothesis, handle_from_power_sum\n"
         "argv = ['verify', '--suite', 'all', '--cases', '20', '--seed', '42', '--format', 'csv', '--out', sys.argv[1]]\n"
         "code = dispatch(argv)\n"
-        "print('numpy loaded', 'numpy' in sys.modules, 'exit', code)\n"
+        "rule = check_hypothesis(handle_from_power_sum(PowerSum([(1.0, 2.0)])), 'f', 1.0, None, False, 1.0, 3.0)\n"
+        "print('numpy loaded', 'numpy' in sys.modules, 'exit', code, 'rule', rule)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "report.csv")],
@@ -410,4 +417,4 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy loaded False exit 0"
+    assert proc.stdout.splitlines()[-1] == "numpy loaded False exit 0 rule term"

@@ -17,6 +17,8 @@ from sconvexlab import (
     PowerSum,
     certify_concave,
     certify_s_convex,
+    check_hypothesis,
+    handle_from_power_sum,
     integrate,
     powersum_integral,
     prove_hypothesis,
@@ -32,8 +34,8 @@ def _certified_instance(seed, s):
 
 
 def _direct_certify(phi, s, lo, hi, concave):
-    """The certifier's arithmetic written out without buffer reuse: the
-    s-convexity check, or the concavity check against the chord."""
+    """The certifier's arithmetic written out on its own: the s-convexity
+    check, or the concavity check against the chord."""
     xs = np.linspace(lo, hi, 33)
     ts = np.linspace(0.0, 1.0, 21)[None, None, :]
     mix = ts * xs[:, None, None] + (1.0 - ts) * xs[None, :, None]
@@ -57,8 +59,8 @@ class TestPowerSum:
         assert powersum_integral(PowerSum([(2.5, 0)]), OrderedInterval(1, 3)) == pytest.approx(5.0, rel=1e-15)
 
     def test_exponent_minus_one_rejected(self):
-        with pytest.raises(ExponentError):
-            powersum_integral(PowerSum([(1.0, -1.0)]), OrderedInterval(1, 2))
+        # x^-1 has no power-function antiderivative, but its integral is a log.
+        assert powersum_integral(PowerSum([(1.0, -1.0)]), OrderedInterval(1, 2)) == math.log(2)
         with pytest.raises(ExponentError):
             PowerSum([(2.0, -1.0)]).antiderivative()
 
@@ -138,28 +140,6 @@ class TestCertifier:
         with pytest.raises(DomainError):
             certify_s_convex(lambda x: x, 1.0, 0.0, 4.0)
 
-    def test_scalar_only_callable_supported(self):
-        calls = []
-
-        def phi(x):
-            if not isinstance(x, float):
-                raise TypeError("scalar only")
-            calls.append(x)
-            return x * x
-
-        assert certify_s_convex(phi, 1.0, 1.0, 2.0).certified
-
-    def test_array_errors_other_than_type_and_value_propagate(self):
-        # Only a scalar-only callable's TypeError or ValueError selects the
-        # scalar fallback; any other error on an array is the caller's.
-        def phi(x):
-            if isinstance(x, np.ndarray):
-                raise DomainError("array input rejected")
-            return x * x
-
-        with pytest.raises(DomainError, match="array input rejected"):
-            certify_s_convex(phi, 1.0, 1.0, 2.0)
-
     @pytest.mark.parametrize("phi, s, concave", [
         (lambda x: x ** 2, 1.0, False),
         (lambda x: -(x ** 2), 1.0, False),
@@ -203,8 +183,8 @@ HYPOTHESES = ("f", "|f'|", "|f'|^q")
 
 
 def _grid_certifies(ps, hypothesis, s, q, concave, lo, hi):
-    """The grid certifier on the hypothesis function, built as the bound
-    suites build it."""
+    """The grid certifier on the hypothesis function, built as
+    check_hypothesis builds it."""
     if hypothesis == "f":
         phi = ps
     elif hypothesis == "|f'|":
@@ -296,6 +276,24 @@ class TestProveHypothesis:
     ])
     def test_rules(self, terms, hypothesis, s, q, concave, rule):
         assert prove_hypothesis(PowerSum(terms), hypothesis, s, q, concave) == rule
+
+
+class TestCheckHypothesis:
+    """Real, unpatched cases: a proof, the grid's pass and its refusal."""
+
+    @pytest.mark.parametrize("terms, hypothesis, s, q, concave, a, b, result", [
+        ([(1.0, 2.0)], "f", 1.0, None, False, 1.0, 3.0, "term"),
+        ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, 1.0, 3.0, "grid"),
+        ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, 0.0, 3.0, "grid"),
+        ([(1.0, 1.5), (2.0, 1.25)], "|f'|^q", 1.0, 2.0, True, 1.0, 3.0, "grid"),
+        ([(-1.0, 2.0)], "f", 1.0, None, False, 1.0, 3.0, None),
+        # f' is the empty sum, which returns the scalar 0.0 for any input.
+        ([(2.0, 0.0)], "|f'|^q", 1.0, 2.0, True, 1.0, 3.0, "grid"),
+    ], ids=["x^2-term", "x^0.2+1-grid", "x^0.2+1-from-0-grid", "concave-power-grid", "-x^2-refused",
+            "constant-grid"])
+    def test_proves_or_certifies(self, terms, hypothesis, s, q, concave, a, b, result):
+        f = handle_from_power_sum(PowerSum(terms))
+        assert check_hypothesis(f, hypothesis, s, q, concave, a, b) == result
 
 
 class TestGenerator:

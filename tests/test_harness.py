@@ -6,6 +6,7 @@ import random
 import pytest
 
 import sconvexlab.cli as cli
+import sconvexlab.funcmodel as funcmodel
 import sconvexlab.harness as harness
 import sconvexlab.means_bounds as means_bounds
 from sconvexlab import (
@@ -27,7 +28,7 @@ CFG = SuiteConfig(seed=42, cases=40)
 
 def _proofs_off(monkeypatch):
     """Send every hypothesis to the grid certifier."""
-    monkeypatch.setattr(harness, "prove_hypothesis", lambda *a, **k: None)
+    monkeypatch.setattr(funcmodel, "prove_hypothesis", lambda *a, **k: None)
 
 
 class TestIdentitySuite:
@@ -74,7 +75,7 @@ class TestBoundSuites:
     def test_skip_accounting_and_all_skipped_failure(self, monkeypatch):
         always_fail = CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
         _proofs_off(monkeypatch)
-        monkeypatch.setattr(harness, "certify_s_convex", lambda *a, **k: always_fail)
+        monkeypatch.setattr(funcmodel, "certify_s_convex", lambda *a, **k: always_fail)
         with pytest.raises(SuiteError):
             run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
 
@@ -93,8 +94,8 @@ class TestBoundSuites:
             return certify
 
         _proofs_off(monkeypatch)
-        monkeypatch.setattr(harness, "certify_s_convex", flaky(harness.certify_s_convex))
-        monkeypatch.setattr(harness, "certify_concave", flaky(harness.certify_concave))
+        monkeypatch.setattr(funcmodel, "certify_s_convex", flaky(funcmodel.certify_s_convex))
+        monkeypatch.setattr(funcmodel, "certify_concave", flaky(funcmodel.certify_concave))
         for theorem in THEOREMS:
             calls["i"] = 0
             report = run_bound_suite(cfg, theorem)
@@ -118,8 +119,8 @@ class TestGridFallback:
 
         if not proofs:
             _proofs_off(monkeypatch)
-        monkeypatch.setattr(harness, "certify_s_convex", counting(harness.certify_s_convex))
-        monkeypatch.setattr(harness, "certify_concave", counting(harness.certify_concave))
+        monkeypatch.setattr(funcmodel, "certify_s_convex", counting(funcmodel.certify_s_convex))
+        monkeypatch.setattr(funcmodel, "certify_concave", counting(funcmodel.certify_concave))
 
     def test_verify_certifies_every_case_on_the_grid(self, monkeypatch, tmp_path):
         calls = {"n": 0}
@@ -160,8 +161,8 @@ class TestGridFallback:
         def no_grid(*args, **kwargs):
             raise AssertionError("a generated case reached the grid certifier")
 
-        monkeypatch.setattr(harness, "certify_s_convex", no_grid)
-        monkeypatch.setattr(harness, "certify_concave", no_grid)
+        monkeypatch.setattr(funcmodel, "certify_s_convex", no_grid)
+        monkeypatch.setattr(funcmodel, "certify_concave", no_grid)
         for seed in (1, 2, 3, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:

@@ -6,7 +6,6 @@ import pytest
 
 from sconvexlab import (
     DomainError,
-    HolderPair,
     MissingParam,
     OrderedInterval,
     PowerSum,
@@ -108,12 +107,12 @@ class TestPropRhs:
             da, db = s * iv.a ** (s - 1), s * iv.b ** (s - 1)
             assert prop_rhs("SE3", iv, s) == bound_se2(da, db, iv, s)
             assert prop_rhs("SE7", iv, s, q) == bound_se6(da, db, iv, s, q)
-            assert prop_rhs("SE8", iv, s, hq) == bound_se5(da, db, iv, s, HolderPair(hq))
+            assert prop_rhs("SE8", iv, s, hq) == bound_se5(da, db, iv, s, hq)
             s = rng.choice(RECIP_S)
             da, db = iv.a ** -s, iv.b ** -s
             assert prop_rhs("SE4", iv, s) == bound_se2(da, db, iv, s)
             assert prop_rhs("SE10", iv, s, q) == bound_se6(da, db, iv, s, q)
-            assert prop_rhs("SE9", iv, s, hq) == bound_se5(da, db, iv, s, HolderPair(hq))
+            assert prop_rhs("SE9", iv, s, hq) == bound_se5(da, db, iv, s, hq)
 
     def test_dominance_all_six_kinds(self):
         rng = random.Random(64)
