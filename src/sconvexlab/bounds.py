@@ -96,7 +96,7 @@ def mean_value(f: FuncHandle, iv: OrderedInterval) -> float:
 def bullen_defect_signed(f: FuncHandle, iv: OrderedInterval) -> float:
     a, b = iv.a, iv.b
     mixed = (b * f.value(a) - a * f.value(b)) / (b - a)
-    return mean_value(f, iv) - 0.5 * (mixed + f.value(iv.midpoint))
+    return mean_value(f, iv) - 0.5 * (mixed + f.value(arithmetic_mean(iv)))
 
 
 def bullen_type_defect(f: FuncHandle, iv: OrderedInterval) -> float:

@@ -63,7 +63,11 @@ from .harness import (
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
-_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# The grammar's tokens, keyed by the name a ParseError gives as expected.
+_TOKEN = {
+    "number": re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"),
+    **{f"'{c}'": re.compile(re.escape(c)) for c in "*x^+"},
+}
 _WS = re.compile(r"\s*")
 
 
@@ -71,58 +75,32 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        self.pos = _WS.match(self.text, self.pos).end()
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise ParseError(self.pos, "number")
-        self.pos = m.end()
-        return float(m.group())
-
-    def literal(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise ParseError(self.pos, f"'{token}'")
-        self.pos += len(token)
-
-    def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
-
 def parse_function_dsl(text: str) -> PowerSum:
     """Parse the coefficient-mandatory power-sum grammar into a PowerSum."""
-    scanner = _Scanner(text)
+    pos = _WS.match(text).end()
+
+    def take(expected: str) -> str:
+        # Match the expected token at pos, then skip the whitespace after it.
+        nonlocal pos
+        m = _TOKEN[expected].match(text, pos)
+        if not m:
+            raise ParseError(pos, expected)
+        pos = _WS.match(text, m.end()).end()
+        return m.group()
+
     terms = []
-
-    def term():
-        coeff = scanner.number()
-        if scanner.peek("*"):
-            scanner.literal("*")
-            scanner.literal("x")
-            scanner.literal("^")
-            exponent = scanner.number()
-            terms.append((coeff, exponent))
-        else:
-            terms.append((coeff, 0.0))
-
-    term()
-    while not scanner.at_end():
-        scanner.literal("+")
-        term()
-    return PowerSum(terms)
+    while True:
+        coeff = float(take("number"))
+        exponent = 0.0
+        if text.startswith("*", pos):
+            take("'*'")
+            take("'x'")
+            take("'^'")
+            exponent = float(take("number"))
+        terms.append((coeff, exponent))
+        if pos == len(text):
+            return PowerSum(terms)
+        take("'+'")
 
 
 def _handle_from_expr(expr: str) -> FuncHandle:

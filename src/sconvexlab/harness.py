@@ -51,6 +51,7 @@ from .funcmodel import (
 )
 from .means import OrderedInterval
 from .bounds import (
+    DEFAULT_BOUND_TOL,
     THEOREMS,
     Theorem,
     bound_s1,
@@ -79,7 +80,7 @@ class SuiteConfig:
     seed: int = 42
     cases: int = 100
     identity_tol: float = 1e-8
-    bound_tol: float = 1e-9
+    bound_tol: float = DEFAULT_BOUND_TOL
     reduction_tol: float = 1e-12
 
     def __post_init__(self):

@@ -7,6 +7,7 @@ from any number of threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -29,19 +30,19 @@ class OrderedInterval:
     def width(self) -> float:
         return self.b - self.a
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
 
 def arithmetic_mean(iv: OrderedInterval) -> float:
-    """(a + b) / 2."""
-    return 0.5 * (iv.a + iv.b)
+    """(a + b) / 2, summed as a/2 + b/2 so that a + b cannot overflow."""
+    return 0.5 * iv.a + 0.5 * iv.b
 
 
 def geometric_mean(iv: OrderedInterval) -> float:
-    """sqrt(a * b)."""
-    return math.sqrt(iv.a * iv.b)
+    """sqrt(a * b), or sqrt(a) * sqrt(b) when a * b is not a normal float:
+    an overflow to inf, or an underflow that has lost digits or all of them."""
+    ab = iv.a * iv.b
+    if sys.float_info.min <= ab <= sys.float_info.max:
+        return math.sqrt(ab)
+    return math.sqrt(iv.a) * math.sqrt(iv.b)
 
 
 def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:

@@ -4,11 +4,11 @@ Each panel is evaluated with the 15-point Kronrod extension of the 7-point
 Gauss rule.  The Gauss value is a by-product of the same 15 function
 evaluations, and the difference between the two estimates drives the error
 estimator.  Refinement is globally adaptive: the panel with the largest
-estimated error is bisected until the summed estimate meets the requested
-tolerance.  The worst-panel queue breaks ties on interval position, so the
-same panels are bisected in the same order, and the sums are math.fsum,
-which is correctly rounded and so independent of the panels' order: results
-are fully deterministic for fixed inputs.
+estimated error is bisected until the summed estimate meets the tolerance.
+The worst-panel queue breaks ties on interval position, so the same panels
+are bisected in the same order, and the sums are math.fsum, which is
+correctly rounded and so independent of the panels' order: results are
+fully deterministic for fixed inputs.
 
 The error estimator follows standard practice for this rule pair: the raw
 difference |K15 - G7| is rescaled by the panel's deviation integral, which
@@ -16,10 +16,8 @@ sharpens the estimate by roughly a 3/2 power and lets panels that touch a
 point of reduced smoothness (for example x^s near 0) converge well before
 the bisection depth limit.
 
-Most integrands here are smooth on their interval, so the first panel
-usually meets the tolerance on its own.  integrate then returns that panel
-at once, with no queue; the result has the same bits as the adaptive loop
-would give, since a sum over one panel is that panel's value.
+The tolerances and the depth limit are fixed: an absolute error of 1e-11 or
+a relative error of 1e-10, whichever is looser, and 60 bisection levels.
 """
 
 from __future__ import annotations
@@ -63,6 +61,9 @@ _WG = (
 )
 
 _EPS = 2.220446049250313e-16
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-10
+_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -117,45 +118,28 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     return value, err
 
 
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
-    max_depth: int = 60,
-) -> QuadResult:
-    """Integrate f over [lo, hi] to the requested absolute/relative tolerance.
+def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadResult:
+    """Integrate f over [lo, hi] to the fixed absolute/relative tolerance.
 
     Raises DepthExhausted when the worst remaining panel has already been
-    bisected max_depth times and the summed error estimate still exceeds the
-    tolerance, and EvalError when f returns a non-finite value anywhere it
-    is sampled.
+    bisected _MAX_DEPTH times and the summed error estimate still exceeds
+    the tolerance, and EvalError when f returns a non-finite value anywhere
+    it is sampled.
     """
     if not lo < hi:
         raise DomainError(f"integration bounds require lo < hi, got ({lo}, {hi})")
-    if not (abs_tol > 0.0 and rel_tol > 0.0):
-        raise DomainError(f"integration tolerances must be positive, got ({abs_tol}, {rel_tol})")
 
-    value0, err0 = _panel(f, lo, hi)
-    if err0 <= max(abs_tol, rel_tol * abs(value0)):
-        # fsum over the one panel would turn -0.0 into 0.0; so does + 0.0.
-        return QuadResult(value0 + 0.0, err0, 15)
-
+    value, err = _panel(f, lo, hi)
     evaluations = 15
     # Max-heap keyed on error estimate; position tie-break keeps pops
     # deterministic.  Entries: (-err, lo, hi, value, depth).
-    panels = [(-err0, lo, hi, value0, 0)]
-
-    while True:
-        value = math.fsum(p[3] for p in panels)
-        err = math.fsum(-p[0] for p in panels)
-        if err <= max(abs_tol, rel_tol * abs(value)):
-            break
+    panels = [(-err, lo, hi, value, 0)]
+    # "not <=" keeps bisecting a NaN error estimate.
+    while not err <= max(_ABS_TOL, _REL_TOL * abs(value)):
         neg_err, a, b, _, depth = heapq.heappop(panels)
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise DepthExhausted(
-                f"no convergence on [{a}, {b}] after {max_depth} bisection levels "
+                f"no convergence on [{a}, {b}] after {_MAX_DEPTH} bisection levels "
                 f"(panel error estimate {-neg_err:.3e}, total {err:.3e})"
             )
         mid = 0.5 * (a + b)
@@ -164,4 +148,8 @@ def integrate(
         evaluations += 30
         heapq.heappush(panels, (-lerr, a, mid, lval, depth + 1))
         heapq.heappush(panels, (-rerr, mid, b, rval, depth + 1))
-    return QuadResult(value, err, evaluations)
+        value = math.fsum(p[3] for p in panels)
+        err = math.fsum(-p[0] for p in panels)
+    # fsum turns a -0.0 sum into 0.0; + 0.0 does the same for a first panel
+    # that converged on its own.
+    return QuadResult(value + 0.0, err, evaluations)

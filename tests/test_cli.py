@@ -59,6 +59,22 @@ class TestFunctionGrammar:
         with pytest.raises(ParseError):
             parse_function_dsl("   ")
 
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("x^2", 0, "number"),
+        ("1*x^2 - 3", 6, "'+'"),
+        ("1*y^2", 2, "'x'"),
+        ("1*x2", 3, "'^'"),
+        ("1*x^", 4, "number"),
+        ("1*x^2 +", 7, "number"),
+        ("   ", 3, "number"),
+        ("1 2", 2, "'+'"),
+    ])
+    def test_error_contract(self, text, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse_function_dsl(text)
+        assert (err.value.offset, err.value.expected) == (offset, expected)
+        assert str(err.value) == f"parse error at offset {offset}: expected {expected}"
+
     def test_roundtrip_identity(self):
         rng = random.Random(71)
         for _ in range(200):
@@ -124,6 +140,16 @@ class TestCommands:
         assert lines[1] == "G 1.73205080756888"
         assert lines[2] == "L_p^p 4.33333333333333"
         assert lines[3] == "L_p 2.08166599946613"
+
+    @pytest.mark.parametrize("a, b, mean_a, mean_g", [
+        ("1e200", "1e300", "5e+299", "1e+250"),  # a * b overflows
+        ("1e-200", "1e-150", "5e-151", "1e-175"),  # a * b underflows to 0
+        ("1e308", "1.7e308", "1.35e+308", "1.30384048104053e+308"),  # a + b overflows
+        ("1e-200", "1e-120", "5e-121", "1e-160"),  # a * b is subnormal
+    ])
+    def test_means_far_from_one(self, capsys, a, b, mean_a, mean_g):
+        assert dispatch(["means", "--a", a, "--b", b]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"A {mean_a}", f"G {mean_g}"]
 
     def test_fifteen_significant_digits(self, capsys):
         dispatch(["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"])

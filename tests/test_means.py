@@ -1,9 +1,11 @@
 """Mean evaluations: frozen values, domain errors, and structural properties."""
 
+import decimal
 import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sconvexlab import (
     DomainError,
@@ -54,6 +56,24 @@ class TestArithmeticGeometric:
             b = a + rng.uniform(0.01, 5.0)
             iv = OrderedInterval(a, b)
             assert geometric_mean(iv) < arithmetic_mean(iv)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+    @example(5e-324, 1e-323)
+    @example(1e-200, 1e-120)
+    @example(1e308, 1.7976931348623157e308)
+    def test_means_inside_interval(self, a, b):
+        # Subnormals and endpoints whose sum or product overflows included.
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        iv = OrderedInterval(a, b)
+        assert a <= arithmetic_mean(iv) <= b
+        g = geometric_mean(iv)
+        assert a <= g <= b
+        exact = (decimal.Decimal(a) * decimal.Decimal(b)).sqrt(decimal.Context(prec=40))
+        if g >= 2.2250738585072014e-308:
+            assert abs(decimal.Decimal(g) - exact) <= decimal.Decimal(g) * decimal.Decimal(4e-16)
 
 
 class TestGenLogMeanPow:

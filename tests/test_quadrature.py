@@ -36,13 +36,13 @@ class TestKnownIntegrals:
         assert r.value == pytest.approx(1 / 14, rel=1e-13)
 
     def test_one_panel_returns_that_panel(self):
-        # When the first panel meets the tolerance, integrate returns it as is.
+        # When the first panel meets the tolerance, integrate bisects nothing.
         for f, lo, hi in [(lambda x: x ** 13, 0.0, 1.0), (math.exp, 0.0, 1.0), (lambda x: x ** 2.5, 1.0, 3.0)]:
             assert integrate(f, lo, hi) == QuadResult(*_panel(f, lo, hi), 15)
 
     def test_one_panel_zero_is_positive(self):
-        # The adaptive loop's fsum gives +0.0 for a -0.0 panel; so does the
-        # one-panel return.
+        # fsum gives +0.0 for a sum of -0.0 panels; a first panel of -0.0
+        # that converges on its own comes back as +0.0 too.
         r = integrate(lambda x: -0.0, 0.0, 1.0)
         assert r.evaluations == 15
         assert math.copysign(1.0, r.value) == 1.0
@@ -101,26 +101,16 @@ class TestFailureModes:
             integrate(lambda x: x, 2.0, 1.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0)
-
-    def test_bad_tolerances(self):
         with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, 1.0, abs_tol=0.0)
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, 1.0, rel_tol=-1e-3)
-        # nan <= 0.0 is False: a NaN tolerance must be rejected, not bisected
-        # until the depth limit.
-        for tol in ("abs_tol", "rel_tol"):
-            with pytest.raises(DomainError):
-                integrate(lambda x: x, 0.0, 1.0, **{tol: float("nan")})
+            integrate(lambda x: x, math.nan, 1.0)
 
     def test_non_finite_integrand(self):
         with pytest.raises(EvalError):
             integrate(lambda x: float("nan"), 0.0, 1.0)
         with pytest.raises(EvalError):
-            integrate(lambda x: float("inf") if x > 0.5 else 1.0, 0.0, 1.0, max_depth=10)
+            integrate(lambda x: float("inf") if x > 0.5 else 1.0, 0.0, 1.0)
 
     def test_depth_exhausted(self):
-        # A step discontinuity cannot meet an absurd tolerance.
-        step = lambda x: 0.0 if x < math.pi / 6 else 1.0
-        with pytest.raises(DepthExhausted):
-            integrate(step, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-300, max_depth=12)
+        # 1/x is not integrable on (0, 1]: the panel at 0 never converges.
+        with pytest.raises(DepthExhausted, match=r"on \[0\.0, 8\.67\d*e-19\] after 60 bisection levels"):
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
