@@ -21,7 +21,11 @@ Case i draws everything from sub-seed (seed XOR i), so parallel and serial
 runs would agree and identical configs produce identical reports.
 
 Report rows are CaseRow named tuples whose fields are the CSV columns
-after "suite", in column order.
+after "suite", in column order.  One line generator renders the CSV
+report, both for render_csv and for write_report, which streams it to the
+file: floats as repr, formatted once per distinct value within a case,
+None as an empty field, and no quoting, since no suite id, row id or
+status holds a comma, a quote or a line break.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -30,8 +34,6 @@ discrepancy and a case holds when margin >= -tol.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
@@ -383,24 +385,54 @@ def render_json(reports) -> str:
 CSV_HEADER = ("suite", "case", "theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "status")
 
 
-def render_csv(reports) -> str:
+def _csv_lines(reports):
+    """The CSV report line by line: the header, then (suite_id,) + row.
+
+    Writes what csv.writer writes for these rows: floats as repr, None as
+    an empty field, anything else as str, and no quoting, since no suite
+    id, row id or status holds a comma, a quote or a line break.  A case's
+    rows repeat its a, b, s, q and lhs, so each distinct float is formatted
+    once per case.  Zeros skip the memo (-0.0 == 0.0 but their reprs
+    differ), and so does every other type (1 == 1.0).
+    """
     if isinstance(reports, SuiteReport):
-        reports = [reports]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+        reports = (reports,)
+    yield ",".join(CSV_HEADER) + "\n"
+    reprs: dict[float, str] = {}
+    case = None
     for report in reports:
-        suite_id = report.suite_id
-        writer.writerows((suite_id,) + r for r in report.rows)
-    return buf.getvalue()
+        head = report.suite_id + ","
+        for row in report.rows:
+            if row.case != case:
+                case = row.case
+                reprs.clear()
+            cells = []
+            for x in row:
+                if type(x) is float and x:
+                    text = reprs.get(x)
+                    if text is None:
+                        text = reprs[x] = repr(x)
+                elif x is None:
+                    text = ""
+                elif isinstance(x, float):
+                    text = repr(x)
+                else:
+                    text = str(x)
+                cells.append(text)
+            yield head + ",".join(cells) + "\n"
+
+
+def render_csv(reports) -> str:
+    return "".join(_csv_lines(reports))
 
 
 def write_report(reports, path: str, fmt: str = "json"):
+    """Write a JSON or CSV report to path; a CSV report is streamed."""
     if fmt == "json":
-        text = render_json(reports)
+        chunks = (render_json(reports),)
     elif fmt == "csv":
-        text = render_csv(reports)
+        chunks = _csv_lines(reports)
     else:
         raise DomainError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)

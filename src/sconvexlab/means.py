@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+# The positive normal floats: no overflow, no digits lost to underflow.
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class OrderedInterval:
@@ -40,7 +44,7 @@ def geometric_mean(iv: OrderedInterval) -> float:
     """sqrt(a * b), or sqrt(a) * sqrt(b) when a * b is not a normal float:
     an overflow to inf, or an underflow that has lost digits or all of them."""
     ab = iv.a * iv.b
-    if sys.float_info.min <= ab <= sys.float_info.max:
+    if _NORMAL_MIN <= ab <= _NORMAL_MAX:
         return math.sqrt(ab)
     return math.sqrt(iv.a) * math.sqrt(iv.b)
 
@@ -48,7 +52,10 @@ def geometric_mean(iv: OrderedInterval) -> float:
 def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     """The p-th power of the generalized logarithmic mean.
 
-    Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)).  Every formula
+    Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)) when both
+    powers are normal floats.  When one underflows or overflows it is
+    factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r)) with r = a/b, and an
+    OverflowError is raised if that is not finite either.  Every formula
     downstream consumes this ratio rather than the mean itself, so exposing
     it avoids a lossy ^(1/p) -> ^p round trip.  p must be finite and
     neither 0 nor -1.
@@ -56,7 +63,17 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     if not math.isfinite(p) or p == -1.0 or p == 0.0:
         raise DomainError(f"generalized logarithmic mean undefined for p={p}")
     a, b = iv.a, iv.b
-    return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+    try:
+        a_pow, b_pow = a ** (p + 1.0), b ** (p + 1.0)
+    except OverflowError:
+        a_pow = b_pow = math.inf
+    if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
+        return (b_pow - a_pow) / ((p + 1.0) * (b - a))
+    r = a / b
+    value = b ** p * ((1.0 - r ** (p + 1.0)) / ((p + 1.0) * (1.0 - r)))
+    if not math.isfinite(value):
+        raise OverflowError(f"L_p^p out of range for p={p} on [{a}, {b}]")
+    return value
 
 
 def gen_log_mean(iv: OrderedInterval, p: float) -> float:

@@ -115,6 +115,8 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > 0.0:
         err = max(err, 50.0 * _EPS * resabs)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise EvalError(f"integrand's weighted sums overflow on [{lo!r}, {hi!r}]")
     return value, err
 
 
@@ -124,7 +126,8 @@ def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadResult:
     Raises DepthExhausted when the worst remaining panel has already been
     bisected _MAX_DEPTH times and the summed error estimate still exceeds
     the tolerance, and EvalError when f returns a non-finite value anywhere
-    it is sampled.
+    it is sampled or when finite samples overflow a panel's weighted sums
+    or the sum over the panels.
     """
     if not lo < hi:
         raise DomainError(f"integration bounds require lo < hi, got ({lo}, {hi})")
@@ -148,8 +151,11 @@ def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadResult:
         evaluations += 30
         heapq.heappush(panels, (-lerr, a, mid, lval, depth + 1))
         heapq.heappush(panels, (-rerr, mid, b, rval, depth + 1))
-        value = math.fsum(p[3] for p in panels)
-        err = math.fsum(-p[0] for p in panels)
+        try:
+            value = math.fsum(p[3] for p in panels)
+            err = math.fsum(-p[0] for p in panels)
+        except OverflowError:
+            raise EvalError(f"the panel sums overflow on [{lo!r}, {hi!r}]") from None
     # fsum turns a -0.0 sum into 0.0; + 0.0 does the same for a first panel
     # that converged on its own.
     return QuadResult(value + 0.0, err, evaluations)

@@ -151,6 +151,14 @@ class TestCommands:
         assert dispatch(["means", "--a", a, "--b", b]) == 0
         assert capsys.readouterr().out.splitlines() == [f"A {mean_a}", f"G {mean_g}"]
 
+    @pytest.mark.parametrize("a, b, mean_l", [
+        ("1e-300", "1e-299", "5.5e-300"),  # a^2 and b^2 underflow
+        ("1e150", "1e160", "5.0000000005e+159"),  # b^2 overflows
+    ])
+    def test_gen_log_mean_extreme_magnitudes(self, capsys, a, b, mean_l):
+        assert dispatch(["means", "--a", a, "--b", b, "--p", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [f"L_p^p {mean_l}", f"L_p {mean_l}"]
+
     def test_fifteen_significant_digits(self, capsys):
         dispatch(["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"])
         assert capsys.readouterr().out.strip() == "0.431652807180127"

@@ -1,6 +1,9 @@
 """Suite runner behaviour: determinism, schema, skip accounting, controls."""
 
+import csv
+import io
 import json
+import math
 import random
 
 import pytest
@@ -21,7 +24,8 @@ from sconvexlab import (
 )
 from sconvexlab.errors import SuiteError
 from sconvexlab.funcmodel import CertResult, FuncHandle, PowerSum, sample_interval
-from sconvexlab.harness import CSV_HEADER, CaseRow, render_csv, render_json, report_to_dict
+from sconvexlab.means_bounds import PROPOSITIONS
+from sconvexlab.harness import CSV_HEADER, CaseRow, SuiteReport, render_csv, render_json, report_to_dict, write_report
 
 CFG = SuiteConfig(seed=42, cases=40)
 
@@ -282,6 +286,77 @@ class TestReportSerialization:
         reports = [run_reduction_suite(SuiteConfig(seed=1, cases=2))]
         parsed = json.loads(render_json(reports))
         assert isinstance(parsed, list) and parsed[0]["suite"] == "reductions"
+
+
+def _hand_report(suite_id, rows):
+    return SuiteReport(suite_id, 0, len(rows), 0, tuple(rows), (), 0, 0.0, (), 0.0)
+
+
+def _csv_writer_reference(reports):
+    """The report as csv.writer renders it, the renderer's contract."""
+    if isinstance(reports, SuiteReport):
+        reports = [reports]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for report in reports:
+        writer.writerows((report.suite_id,) + row for row in report.rows)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def all_suites():
+    return cli._run_suites("all", SuiteConfig(seed=3, cases=4))
+
+
+class TestCsvRenderer:
+    # Signed zeros in one case (equal as floats, unequal reprs), values
+    # repeated within and across cases, an int beside an equal float,
+    # non-finite and subnormal cells, and None cells.
+    MIXED = _hand_report("mixed", [
+        CaseRow(0, "t1", 0.0, 1.5, None, None, -0.0, 0.0, -0.0, "ok"),
+        CaseRow(0, "t2", -0.0, 1.5, 0.25, 2.0, 0.1, 1, 1.0, "warning"),
+        CaseRow(1, "t1", 0.1, 1.5, 0.25, 2.0, 0.1, 0.0, -0.0, "violation"),
+        CaseRow(1, "t3", 5e-324, math.inf, -math.inf, math.nan, -math.nan, None, None, "skipped"),
+        CaseRow(2, "t3", math.nan, -5e-324, 1.0, 1, 1e308, -1e-308, 0.30000000000000004, "ok"),
+    ])
+    SINGLE = _hand_report("single", [CaseRow(7, "t1", 1.0, 2.0, None, 3.0, 0.5, 0.75, 0.25, "ok")])
+    EMPTY = _hand_report("empty", [])
+
+    @staticmethod
+    def _assert_matches_csv_writer(tmp_path, reports):
+        expected = _csv_writer_reference(reports)
+        assert render_csv(reports) == expected
+        out = tmp_path / "report.csv"
+        write_report(reports, str(out), "csv")
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("reports", [
+        MIXED, [MIXED], [SINGLE], [EMPTY], [], [MIXED, SINGLE, EMPTY, MIXED],
+    ])
+    def test_bytes_match_csv_writer(self, tmp_path, reports):
+        self._assert_matches_csv_writer(tmp_path, reports)
+
+    def test_generated_reports_match_csv_writer(self, tmp_path, all_suites):
+        self._assert_matches_csv_writer(tmp_path, all_suites)
+
+    def test_no_field_needs_quoting(self, all_suites):
+        # The renderer writes fields unquoted; csv.writer would quote one
+        # holding any of these characters.
+        names = set(CSV_HEADER) | set(THEOREMS) | set(PROPOSITIONS)
+        names |= {"ok", "warning", "violation", "skipped"}
+        names |= {r.suite_id for r in all_suites}
+        names |= {row.theorem for r in all_suites for row in r.rows}
+        names |= {row.status for r in all_suites for row in r.rows}
+        assert {"prop_power_xcheck", "prop_recip_xcheck", "se6_q1_vs_se2", "bounds:se2"} <= names
+        for name in names:
+            assert not set(name) & set(',"\r\n'), name
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        out = tmp_path / "report.xml"
+        with pytest.raises(DomainError):
+            write_report(self.SINGLE, str(out), "xml")
+        assert not out.exists()
 
 
 class TestConfigValidation:

@@ -104,6 +104,21 @@ class TestGenLogMeanPow:
                 continue
             assert gen_log_mean_pow(OrderedInterval(a, b), p) > 0.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=2.2250738585072014e-308, max_value=1.7976931348623157e308),
+           st.floats(min_value=2.2250738585072014e-308, max_value=1.7976931348623157e308))
+    @example(1e-300, 1e-299)
+    @example(1e150, 1e160)
+    @example(2.2250738585072014e-308, 1.7976931348623157e308)
+    @example(2.2250738585072014e-308, 2.2250738585072014e-302)
+    def test_p1_inside_interval(self, a, b):
+        # Endpoints whose squares underflow or overflow included.  Intervals
+        # with b < a (1 + 1e-6) are left out: there b^2 - a^2 cancels and
+        # L_1 can stray from (a + b) / 2 by more than (b - a) / 2.
+        a, b = min(a, b), max(a, b)
+        assume(b >= a * (1.0 + 1e-6))
+        assert a <= gen_log_mean_pow(OrderedInterval(a, b), 1.0) <= b
+
     def test_p1_matches_arithmetic_on_random(self):
         rng = random.Random(6)
         for _ in range(300):

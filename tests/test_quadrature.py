@@ -110,6 +110,32 @@ class TestFailureModes:
         with pytest.raises(EvalError):
             integrate(lambda x: float("inf") if x > 0.5 else 1.0, 0.0, 1.0)
 
+    def test_non_finite_sample_names_the_point(self):
+        with pytest.raises(EvalError, match=r"non-finite value nan at x=0\.5$"):
+            integrate(lambda x: float("nan"), 0.0, 1.0)
+
+    def test_overflowing_panel(self):
+        # Every sample is finite, but the panel's weighted sums overflow:
+        # to inf for a constant, to inf - inf for a step.
+        with pytest.raises(EvalError, match=r"weighted sums overflow on \[0\.0, 1\.0\]"):
+            integrate(lambda x: 1.7e308, 0.0, 1.0)
+        with pytest.raises(EvalError, match=r"weighted sums overflow on \[0\.0, 1\.0\]"):
+            integrate(lambda x: 1.7e308 if x < 0.5 else -1.7e308, 0.0, 1.0)
+
+    def test_overflowing_panel_total(self):
+        # The first panel samples zeros (and one 1, so that it bisects); the
+        # halves see 8e307 throughout, finite panels whose sum overflows.
+        first = set()
+        integrate(lambda x: first.add(x) or 0.0, 0.0, 4.0)
+
+        def f(x):
+            if x in first:
+                return 1.0 if x == 2.0 else 0.0
+            return 8e307
+
+        with pytest.raises(EvalError, match=r"panel sums overflow on \[0\.0, 4\.0\]"):
+            integrate(f, 0.0, 4.0)
+
     def test_depth_exhausted(self):
         # 1/x is not integrable on (0, 1]: the panel at 0 never converges.
         with pytest.raises(DepthExhausted, match=r"on \[0\.0, 8\.67\d*e-19\] after 60 bisection levels"):
