@@ -67,7 +67,7 @@ from .bounds import (
     lemma_identity_rhs,
     verdict,
 )
-from .means_bounds import PROPOSITIONS, prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
+from .means_bounds import FAMILY_DF, PROPOSITIONS, prop_power_lhs, prop_recip_lhs, se4_discrepancy
 
 # The s and q values cases draw from, and the instance sampler's settings.
 _S_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -309,13 +309,16 @@ def _quadrature_oracle(ps: PowerSum) -> FuncHandle:
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     """Mean-expressed defects against quadrature, and proposition dominance."""
     t0 = time.perf_counter()
-    # Per family: its cross-check row id, mean-form defect, propositions as
-    # (id, whether the row carries q), and for each s of its grid the
-    # quadrature oracle of the underlying function (x^s or x^(1-s)/(1-s)).
-    # An oracle depends on s alone, so each is built once per suite.
+    # Per family: its cross-check row id, mean-form defect, endpoint |f'|,
+    # propositions as (id, whether the row carries q, bound), and for each s
+    # of its grid the quadrature oracle of the underlying function (x^s or
+    # x^(1-s)/(1-s)).  An oracle depends on s alone, so each is built once
+    # per suite; the endpoint |f'| depends on the case too, so it is
+    # computed once per case and s and shared by the family's propositions.
     families = [
-        (xcheck, prop_lhs,
-         [(pid, carries_q) for pid, (pfamily, carries_q, _) in PROPOSITIONS.items() if pfamily == family],
+        (xcheck, prop_lhs, FAMILY_DF[family],
+         [(pid, carries_q, bound) for pid, (pfamily, carries_q, bound) in PROPOSITIONS.items()
+          if pfamily == family],
          [(s, _quadrature_oracle(underlying(s))) for s in s_grid])
         for family, xcheck, s_grid, prop_lhs, underlying in (
             ("power", "prop_power_xcheck", _PROP_POWER_S, prop_power_lhs, lambda s: PowerSum([(1.0, s)])),
@@ -331,14 +334,15 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
         iv = sample_interval(rng, _GEN)
         q = rng.choice(_Q_GRID)
 
-        for xcheck, prop_lhs, props, oracles in families:
+        for xcheck, prop_lhs, family_df, props, oracles in families:
             for s, oracle in oracles:
                 defect = bullen_type_defect(oracle, iv)
                 lhs = prop_lhs(iv, s)
                 rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
-                for pid, carries_q in props:
+                df_a, df_b = family_df(iv, s)
+                for pid, carries_q, bound in props:
                     q_row = q if carries_q else None
-                    rhs = prop_rhs(pid, iv, s, q_row)
+                    rhs = bound(df_a, df_b, iv, s, q_row)
                     rows.append(_bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, cfg.bound_tol))
 
         disc = se4_discrepancy(iv, rng.choice(_PROP_RECIP_S))

@@ -77,8 +77,15 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
 
 
 def gen_log_mean(iv: OrderedInterval, p: float) -> float:
-    """The generalized logarithmic mean L_p; lies strictly between a and b."""
-    return gen_log_mean_pow(iv, p) ** (1.0 / p)
+    """The generalized logarithmic mean L_p; lies strictly between a and b.
+
+    Raises DomainError when L_p^p rounds to 0 and p < 0 (a one-ulp
+    interval can do this), since 0 has no negative power.
+    """
+    value = gen_log_mean_pow(iv, p)
+    if value == 0.0 and p < 0.0:
+        raise DomainError(f"L_p^p rounds to 0 on [{iv.a}, {iv.b}] for p={p}, so L_p = 0^(1/p) is undefined")
+    return value ** (1.0 / p)
 
 
 def power_diff_quotient(iv: OrderedInterval, r: float) -> float:

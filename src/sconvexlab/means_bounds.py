@@ -14,8 +14,9 @@ of what substitution yields.  prop_se4_rhs_printed evaluates the printed
 form for documentation; it is never asserted as a valid bound.
 
 PROPOSITIONS defines each proposition in one place: its family, whether
-its rows carry q, and the generic bound it substitutes into.  prop_rhs and
-the props suite both read it.
+its rows carry q, and the generic bound it substitutes into; FAMILY_DF
+gives each family's endpoint derivative magnitudes.  prop_rhs and the
+props suite both read the two tables.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ def _recip_df(iv: OrderedInterval, s: float) -> tuple[float, float]:
     return iv.a ** -s, iv.b ** -s
 
 
+# Each family's |f'| at the endpoints, (iv, s) -> (df_a, df_b).
+FAMILY_DF = {"power": _power_df, "recip": _recip_df}
+
+
 # Each proposition substitutes its family's |f'| endpoints into one generic
 # bound: id -> (family, whether its row carries q, bound(df_a, df_b, iv, s, q)).
 # The order is the props suite's row order within each family.  The bounds
@@ -110,7 +115,7 @@ def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> fl
         raise DomainError(f"unknown proposition kind {kind.upper()!r}")
     family, _, bound = entry
     sv = as_s(s)
-    df_a, df_b = (_power_df if family == "power" else _recip_df)(iv, sv)
+    df_a, df_b = FAMILY_DF[family](iv, sv)
     return bound(df_a, df_b, iv, sv, q)
 
 

@@ -199,12 +199,16 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite, digest", [
         ("all", "520dec14dd0c761740477c2fb1bbb3b932ba1349cbb5bc79bc12d9101c0c90cd"),
         ("bounds", "753b2780e8e6c82e2ca5dfaa58e1cca1255640635b876b21d0bdcc2452024b7c"),
+        ("props", "21785f2b26825db710fbd47180901d86a2005dd31538045f7a0f4fe92e9a7b92"),
     ])
     def test_golden_report_digest(self, tmp_path, capsys, suite, digest):
         # Pinned report bytes: a change meant to keep every report as it is
-        # (a speed-up, a refactor) must leave these digests alone.
+        # (a speed-up, a refactor) must leave these digests alone.  The props
+        # pin runs 200 cases at seed 7331, enough for quadrature calls that
+        # bisect up to three times, not only first panels that converge.
+        cases, seed = {"props": ("200", "7331")}.get(suite, ("20", "42"))
         out = tmp_path / "report.csv"
-        args = ["verify", "--suite", suite, "--cases", "20", "--seed", "42", "--format", "csv", "--out", str(out)]
+        args = ["verify", "--suite", suite, "--cases", cases, "--seed", seed, "--format", "csv", "--out", str(out)]
         assert dispatch(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -267,6 +271,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: generalized logarithmic mean undefined for p={float(p)}\n"
+
+    def test_negative_p_on_a_one_ulp_interval(self, capsys):
+        # L_p^p rounds to 0 on [1, 1 + 2^-52], and 0 has no negative power.
+        assert dispatch(["means", "--a", "1", "--b", "1.0000000000000002", "--p", "-0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: L_p^p rounds to 0 on [1.0, 1.0000000000000002] for p=-0.5, so L_p = 0^(1/p) is undefined\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--theorem", "pp", *BOUND_X2, "--q", "0"],
