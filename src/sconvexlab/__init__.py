@@ -32,8 +32,7 @@ from .funcmodel import (
     FuncHandle,
     GenConfig,
     PowerSum,
-    certify_concave,
-    certify_s_convex,
+    certify,
     check_hypothesis,
     handle_from_power_sum,
     powersum_integral,
@@ -59,7 +58,6 @@ from .means_bounds import (
     prop_power_lhs,
     prop_recip_lhs,
     prop_rhs,
-    prop_se4_rhs_printed,
     se4_discrepancy,
 )
 from .harness import (

@@ -20,7 +20,8 @@ Three families of right-hand sides live here:
   Hermite-Hadamard / Bullen chains - cross-checks and reduction oracles.
 
 THEOREMS is the registry: one entry per bound theorem, naming its
-hypothesis and instance family and evaluating its two sides.
+hypothesis and evaluating its two sides; the harness draws each theorem's
+instances from the family that meets its hypothesis.
 evaluate_bound, the bound suites and the command line all read it.  Each
 formula is defined once: one that a single theorem uses lives in that
 theorem's entry (its sides function), and one that several theorems or
@@ -280,20 +281,18 @@ def _bullen_sides(f, a, b, s, q):
 
 @dataclass(frozen=True)
 class Theorem:
-    """One bound theorem: its hypothesis, instance family and two sides.
+    """One bound theorem: its hypothesis and two sides.
 
     The theorem assumes its hypothesis function ("f", "|f'|" or "|f'|^q")
     s-convex, or concave when concave; s = 1 unless takes_s.  Reports carry
-    s when takes_s and q when uses_q.  family names the harness's instance
-    generator.  sides(f, a, b, s, q) gives (lhs, rhs); for a chain theorem,
-    its tighter leg.
+    s when takes_s and q when uses_q.  sides(f, a, b, s, q) gives (lhs,
+    rhs); for a chain theorem, its tighter leg.
     """
 
     id: str
     takes_s: bool
     hypothesis: str
     concave: bool
-    family: str
     sides: Callable[..., tuple[float, float]]
 
     @property
@@ -304,27 +303,27 @@ class Theorem:
 # The sides call the evaluators through their module-global names, so that
 # replacing a module attribute (as tests and tracing do) takes effect.
 THEOREMS = {th.id: th for th in (
-    Theorem("se2", True, "|f'|", False, "dconvex+sterm",
+    Theorem("se2", True, "|f'|", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_se2(da, db, iv, s))),
-    Theorem("se5", True, "|f'|^q", False, "dconvex+sterm",
+    Theorem("se5", True, "|f'|^q", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_se5(da, db, iv, s, q))),
-    Theorem("se6", True, "|f'|^q", False, "dconvex+sterm",
+    Theorem("se6", True, "|f'|^q", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_se6(da, db, iv, s, q))),
-    Theorem("s1", False, "|f'|", False, "dconvex",
+    Theorem("s1", False, "|f'|", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_s1(da, db, iv))),
-    Theorem("s2", False, "|f'|^q", False, "dconvex",
+    Theorem("s2", False, "|f'|^q", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_s2(da, db, iv, q))),
-    Theorem("s3", False, "|f'|^q", False, "dconvex",
+    Theorem("s3", False, "|f'|^q", False,
             _endpoint_sides(lambda da, db, iv, s, q: bound_s3(da, db, iv, q))),
-    Theorem("da", False, "|f'|", False, "dconvex", _da_sides),
-    Theorem("pp", False, "|f'|^q", False, "dconvex", _pp_sides),
-    Theorem("ppc", False, "|f'|^q", True, "concave_power", _ppc_sides),
-    Theorem("adk", False, "|f'|^q", True, "concave_power", _adk_sides),
-    Theorem("hh", False, "f", False, "convex_f",
+    Theorem("da", False, "|f'|", False, _da_sides),
+    Theorem("pp", False, "|f'|^q", False, _pp_sides),
+    Theorem("ppc", False, "|f'|^q", True, _ppc_sides),
+    Theorem("adk", False, "|f'|^q", True, _adk_sides),
+    Theorem("hh", False, "f", False,
             lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, 1.0))),
-    Theorem("hhs", True, "f", False, "s_power",
+    Theorem("hhs", True, "f", False,
             lambda f, a, b, s, q: chain_leg(*hadamard_s_triple(f, a, b, s))),
-    Theorem("bullen", False, "f", False, "convex_f", _bullen_sides),
+    Theorem("bullen", False, "f", False, _bullen_sides),
 )}
 
 

@@ -24,8 +24,9 @@ Exit codes: 0 success with no violations, 1 at least one violated
 inequality, 2 usage, parse, domain, floating-point overflow or file errors
 (an --out path that cannot be written).
 A --s-grid may hold at most 10,000 points.
-se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1, and
-tolerances must be finite and nonnegative; anything else is a domain error.
+se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1,
+--tol a finite T >= 0 (it replaces every suite's own tolerance) and --seed
+a K >= 0; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
 double round trip.  An overflow prints "error: floating-point overflow:
 <reason>"; a bound side or defect that is not finite is an error too (a
@@ -155,10 +156,7 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.tol is not None:
-        overrides = dict(identity_tol=args.tol, bound_tol=args.tol, reduction_tol=args.tol)
-    cfg = SuiteConfig(seed=args.seed, cases=args.cases, **overrides)
+    cfg = SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
     reports = _run_suites(args.suite, cfg)
     payload = reports[0] if len(reports) == 1 else reports
     # Write the file before any output, so a failed write prints only its

@@ -9,14 +9,15 @@ check_hypothesis establishes a case's hypothesis before a bound is
 asserted on it: proof first, grid as fallback.  prove_hypothesis proves the
 s-convexity (or concavity) of f, |f'| or |f'|^q on (0, inf) from the
 power-sum terms, comparing exponents exactly, and names the rule it used.
-When no rule applies, the sampling certifier checks the inequality
+When no rule applies, certify, the one grid certifier, checks the
+inequality
 
     phi(t*x + (1-t)*y) <= t^s * phi(x) + (1-t)^s * phi(y)
 
-on one fixed uniform (x, y, t) grid, 33 x 33 x 21 points, and reports the
-first violation beyond a small floating-point allowance; that check is
-evidence, not a proof.  The grid is a constant so that no caller can
-coarsen it.
+(or its reverse with s = 1, for concavity) on one fixed uniform (x, y, t)
+grid, 33 x 33 x 21 points, and reports the worst violation beyond a small
+floating-point allowance; that check is evidence, not a proof.  The grid
+is a constant so that no caller can coarsen it.
 
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
@@ -194,28 +195,18 @@ def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Opti
     return None
 
 
-def certify_s_convex(phi: Callable[[float], float], s, lo: float, hi: float) -> CertResult:
-    """Check s-convexity in the second sense on a uniform sample grid.
+def certify(phi: Callable[[float], float], s, lo: float, hi: float, concave: bool = False) -> CertResult:
+    """Grid check of phi(mix) <= t^s phi(x) + (1-t)^s phi(y), s-convexity in
+    the second sense, or of its reverse when concave (s is then unused and
+    the right side is the chord).
 
     phi must map an array to an array of the same shape, or to a scalar
-    when it is constant.  Violations
-    smaller than CERT_TOL * (1 + |rhs|) are ignored as floating-point slack.
-    Raises EvalError if phi is non-finite anywhere on the grid.
+    when it is constant.  Violations smaller than CERT_TOL * (1 + |rhs|)
+    are ignored as floating-point slack.  The witness is (x, y, t,
+    phi(mix), right side).  Raises EvalError if phi is non-finite anywhere
+    on the grid.
     """
-    return _certify(phi, as_s(s), lo, hi, concave=False)
-
-
-def certify_concave(phi: Callable[[float], float], lo: float, hi: float) -> CertResult:
-    """Check ordinary concavity on the same sample grid."""
-    return _certify(phi, 1.0, lo, hi, concave=True)
-
-
-def _certify(phi, s: float, lo: float, hi: float, concave: bool) -> CertResult:
-    """Grid check of phi(mix) <= t^s phi(x) + (1-t)^s phi(y), or of its
-    reverse when concave (then s = 1 and the right side is the chord).
-
-    The witness is (x, y, t, phi(mix), right side).
-    """
+    s = 1.0 if concave else as_s(s)
     if not 0.0 < lo < hi:
         raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
     import numpy as np  # only the grid needs numpy; proofs and the CLI do not
@@ -261,8 +252,7 @@ def check_hypothesis(f: FuncHandle, hypothesis: str, s, q, concave: bool, a: flo
     else:
         phi = lambda x: abs(ps(x)) ** q
     lo = a if a > 0.0 else 1e-3 * b
-    cert = certify_concave(phi, lo, b) if concave else certify_s_convex(phi, s, lo, b)
-    return "grid" if cert.certified else None
+    return "grid" if certify(phi, s, lo, b, concave).certified else None
 
 
 @dataclass(frozen=True)

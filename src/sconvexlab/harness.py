@@ -3,7 +3,7 @@
 Four suites:
 
 * identity    - the signed defect equals the weighted derivative integrals
-                (an exact identity, checked to identity_tol);
+                (an exact identity, checked to 1e-8);
 * bounds      - one sub-suite per inequality; each case establishes the
                 hypothesis it needs (|f'| or |f'|^q s-convex, concave, or
                 f itself convex) with funcmodel.check_hypothesis before
@@ -39,7 +39,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, SuiteError
 from .funcmodel import (
@@ -75,22 +75,28 @@ _Q_GRID = (1.5, 2.0, 3.0)
 _GEN = GenConfig()
 _PROP_POWER_S = tuple(round(0.1 * k, 1) for k in range(1, 11))
 _PROP_RECIP_S = tuple(round(0.1 * k, 1) for k in range(1, 10))
+# Each suite's own tolerance, which SuiteConfig.tol replaces when set; the
+# bounds and props suites use bounds.DEFAULT_BOUND_TOL.
+_IDENTITY_TOL = 1e-8
+_REDUCTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
     cases: int = 100
-    identity_tol: float = 1e-8
-    bound_tol: float = DEFAULT_BOUND_TOL
-    reduction_tol: float = 1e-12
+    tol: Optional[float] = None
 
     def __post_init__(self):
+        if self.seed < 0:  # random.Random seeds with abs(seed): -1 would replay seed 0's cases
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.cases < 1:
             raise DomainError("suite needs cases >= 1")
-        for tol in (self.identity_tol, self.bound_tol, self.reduction_tol):
-            if not (math.isfinite(tol) and tol >= 0.0):
-                raise DomainError(f"tolerances must be finite and >= 0, got {tol}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise DomainError(f"tol must be finite and >= 0, got {self.tol}")
+
+    def tol_or(self, default: float) -> float:
+        return default if self.tol is None else self.tol
 
 
 class CaseRow(NamedTuple):
@@ -156,28 +162,16 @@ def _match_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: f
     return CaseRow(case, theorem, iv.a, iv.b, s, q, lhs, rhs, margin, status)
 
 
-def run_identity_suite(
-    cfg: SuiteConfig,
-    instances: Optional[Sequence[tuple[FuncHandle, OrderedInterval]]] = None,
-) -> SuiteReport:
-    """Signed defect versus the weighted derivative integrals, case by case.
-
-    The optional instances sequence overrides generation; it exists so a
-    deliberately inconsistent (f, f') pair can be fed in as a negative
-    control.
-    """
+def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
+    """Signed defect versus the weighted derivative integrals, case by case."""
     t0 = time.perf_counter()
+    tol = cfg.tol_or(_IDENTITY_TOL)
     rows: list[CaseRow] = []
-    if instances is not None:
-        pairs = list(enumerate(instances))
-    else:
-        pairs = []
-        for i in range(cfg.cases):
-            pairs.append((i, sample_dconvex_instance(random.Random(cfg.seed ^ i), _GEN)))
-    for i, (f, iv) in pairs:
+    for i in range(cfg.cases):
+        f, iv = sample_dconvex_instance(random.Random(cfg.seed ^ i), _GEN)
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
-        rows.append(_match_row(i, "identity", iv, None, None, lhs, rhs, cfg.identity_tol))
+        rows.append(_match_row(i, "identity", iv, None, None, lhs, rhs, tol))
     return _finish("identity", cfg, rows, [], t0)
 
 
@@ -225,19 +219,19 @@ def _sconvex_term_instance(seed: int, s: float) -> tuple[FuncHandle, OrderedInte
 
 def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: float,
                    q: float) -> tuple[FuncHandle, float, float, float]:
-    """Case i's instance from the theorem's family, as (f, a, b, s)."""
-    family = th.family
-    if family == "s_power":
+    """Case i's instance, as (f, a, b, s), from the family that meets the
+    theorem's hypothesis."""
+    if th.hypothesis == "f" and th.takes_s:
         if i == 0:
             # Sharp instance: the endpoint-average constant is attained.
             return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
         f, u, v = _s_power_instance(inst_seed, s)
         return f, u, v, s
-    if family == "concave_power":
+    if th.concave:
         f, iv = _concave_power_instance(inst_seed, q)
-    elif family == "convex_f":
+    elif th.hypothesis == "f":
         f, iv = _convex_f_instance(inst_seed)
-    elif family == "dconvex+sterm" and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
+    elif th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
         f, iv = _sconvex_term_instance(inst_seed, s)
     else:
         f, iv = sample_dconvex_instance(random.Random(inst_seed), _GEN)
@@ -255,6 +249,7 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
     if th is None:
         raise DomainError(f"unknown bound suite {theorem!r}")
     t0 = time.perf_counter()
+    tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     rows: list[CaseRow] = []
 
     for i in range(cfg.cases):
@@ -270,7 +265,7 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
             continue
         lhs, rhs = th.sides(f, a, b, s, q)
-        rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, cfg.bound_tol))
+        rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, tol))
 
     return _finish(f"bounds:{th.id}", cfg, rows, [], t0)
 
@@ -278,6 +273,7 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
 def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     """The four algebraic collapses, as relative discrepancies on random data."""
     t0 = time.perf_counter()
+    tol = cfg.tol_or(_REDUCTION_TOL)
     rows: list[CaseRow] = []
     for i in range(cfg.cases):
         rng = random.Random(cfg.seed ^ i)
@@ -296,7 +292,7 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
         for name, s_row, q_row, lhs, rhs in pairs:
             scale = max(abs(lhs), abs(rhs))
             rel = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-            status = "ok" if rel <= cfg.reduction_tol else "violation"
+            status = "ok" if rel <= tol else "violation"
             rows.append(CaseRow(i, name, iv.a, iv.b, s_row, q_row, lhs, rhs, -rel, status))
     return _finish("reductions", cfg, rows, [], t0)
 
@@ -309,6 +305,7 @@ def _quadrature_oracle(ps: PowerSum) -> FuncHandle:
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     """Mean-expressed defects against quadrature, and proposition dominance."""
     t0 = time.perf_counter()
+    tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     # Per family: its cross-check row id, mean-form defect, endpoint |f'|,
     # propositions as (id, whether the row carries q, bound), and for each s
     # of its grid the quadrature oracle of the underlying function (x^s or
@@ -338,12 +335,12 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
             for s, oracle in oracles:
                 defect = bullen_type_defect(oracle, iv)
                 lhs = prop_lhs(iv, s)
-                rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
+                rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, tol))
                 df_a, df_b = family_df(iv, s)
                 for pid, carries_q, bound in props:
                     q_row = q if carries_q else None
                     rhs = bound(df_a, df_b, iv, s, q_row)
-                    rows.append(_bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, cfg.bound_tol))
+                    rows.append(_bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, tol))
 
         disc = se4_discrepancy(iv, rng.choice(_PROP_RECIP_S))
         if disc.is_exact_negation:

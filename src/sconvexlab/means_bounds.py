@@ -10,8 +10,9 @@ Right-hand sides are derived BY SUBSTITUTION of the endpoint derivative
 magnitudes into the generic bounds (one source of truth), not transcribed
 from each proposition's display.  That choice localizes a sign defect in
 the printed reciprocal-family bound: its second term is the exact negative
-of what substitution yields.  prop_se4_rhs_printed evaluates the printed
-form for documentation; it is never asserted as a valid bound.
+of what substitution yields.  se4_discrepancy evaluates the printed form
+for documentation (its printed_rhs); it is never asserted as a valid
+bound.
 
 PROPOSITIONS defines each proposition in one place: its family, whether
 its rows carry q, and the generic bound it substitutes into; FAMILY_DF
@@ -136,11 +137,6 @@ class Se4Discrepancy:
     @property
     def is_exact_negation(self) -> bool:
         return self.printed_second_term == -self.substitution_second_term
-
-
-def prop_se4_rhs_printed(iv: OrderedInterval, s: float) -> float:
-    """The reciprocal-family bound exactly as displayed (documentation only)."""
-    return se4_discrepancy(iv, s).printed_rhs
 
 
 def se4_discrepancy(iv: OrderedInterval, s: float) -> Se4Discrepancy:

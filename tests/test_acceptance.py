@@ -44,7 +44,7 @@ def _line(criterion: str, ok: bool):
 def test_criterion_1_lemma_identity_1000_instances():
     ok = False
     try:
-        report = run_identity_suite(SuiteConfig(seed=42, cases=1000, identity_tol=1e-8))
+        report = run_identity_suite(SuiteConfig(seed=42, cases=1000, tol=1e-8))
         assert report.cases_run == 1000
         assert report.violations == (), f"identity violations: {report.violations[:3]}"
         assert report.worst_margin >= -1e-8
@@ -56,7 +56,7 @@ def test_criterion_1_lemma_identity_1000_instances():
 def test_criterion_2_endpoint_bound_dominance_5000_cases():
     ok = False
     try:
-        report = run_bound_suite(SuiteConfig(seed=101, cases=5000, bound_tol=1e-9), "SE2")
+        report = run_bound_suite(SuiteConfig(seed=101, cases=5000, tol=1e-9), "SE2")
         assert report.cases_run == 5000
         assert report.violations == (), f"se2 violations: {report.violations[:3]}"
         assert report.skipped < 5000
@@ -78,7 +78,7 @@ def test_criterion_3_holder_and_power_mean_bounds_5000_each():
     ok = False
     try:
         for theorem in ("SE5", "SE6"):
-            report = run_bound_suite(SuiteConfig(seed=202, cases=5000, bound_tol=1e-9), theorem)
+            report = run_bound_suite(SuiteConfig(seed=202, cases=5000, tol=1e-9), theorem)
             assert report.cases_run == 5000
             assert report.violations == (), f"{theorem} violations: {report.violations[:3]}"
         ok = True
@@ -89,7 +89,7 @@ def test_criterion_3_holder_and_power_mean_bounds_5000_each():
 def test_criterion_4_reductions_to_convex_case():
     ok = False
     try:
-        report = run_reduction_suite(SuiteConfig(seed=303, cases=1000, reduction_tol=1e-12))
+        report = run_reduction_suite(SuiteConfig(seed=303, cases=1000, tol=1e-12))
         assert report.violations == ()
         assert report.worst_margin >= -1e-12
 
@@ -106,7 +106,7 @@ def test_criterion_4_reductions_to_convex_case():
 def test_criterion_5_proposition_crosschecks():
     ok = False
     try:
-        report = run_prop_crosscheck_suite(SuiteConfig(seed=404, cases=50, bound_tol=1e-9))
+        report = run_prop_crosscheck_suite(SuiteConfig(seed=404, cases=50, tol=1e-9))
         assert report.cases_run == 50
         assert report.violations == (), f"prop violations: {report.violations[:3]}"
 
@@ -138,7 +138,7 @@ def test_criterion_7_prior_art_chain_1000_each():
     ok = False
     try:
         for theorem in ("HH", "DA", "PP", "PPC", "ADK"):
-            report = run_bound_suite(SuiteConfig(seed=505, cases=1000, bound_tol=1e-9), theorem)
+            report = run_bound_suite(SuiteConfig(seed=505, cases=1000, tol=1e-9), theorem)
             assert report.cases_run == 1000
             assert report.violations == (), f"{theorem} violations: {report.violations[:3]}"
             assert report.skipped < 1000

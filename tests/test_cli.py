@@ -212,6 +212,21 @@ class TestVerifyCommand:
         assert dispatch(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("extra, code, digest", [
+        # --tol 0 replaces every suite's own tolerance, so statuses move in
+        # all four kinds of suite: identity, bounds, reductions and props.
+        (["--suite", "all", "--cases", "20", "--seed", "42", "--tol", "0"], 1,
+         "088cdfbf675a04f19e8c10181ee9195ac7cac2702c38690019505e53f293d162"),
+        # 200 cases per bound suite draw from every instance family,
+        # including the s-term swap and the sharp case of the s-power family.
+        (["--suite", "bounds", "--cases", "200", "--seed", "7331"], 0,
+         "b63ebdb1ed9285b137d8cb4004eeaea56874b2fb1631d34e8d6dea395cc5382b"),
+    ], ids=["tol-override", "bound-families"])
+    def test_golden_report_digest_more(self, tmp_path, capsys, extra, code, digest):
+        out = tmp_path / "report.csv"
+        assert dispatch(["verify", *extra, "--format", "csv", "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_props_note_passthrough(self, capsys):
         assert dispatch(["verify", "--suite", "props", "--cases", "3", "--seed", "5"]) == 0
         assert "note: se4 as-printed bound" in capsys.readouterr().out
@@ -304,6 +319,14 @@ class TestExitCodes:
         argv = [arg.format(out=tmp_path / "sweep.csv") for arg in argv]
         assert dispatch(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_is_an_error(self, capsys):
+        # random.Random seeds with |seed|, so case i of seed -1 would be
+        # case i + 1 of seed 0.
+        assert dispatch(["verify", "--suite", "identity", "--cases", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_usage_error(self, capsys):
         assert dispatch(["nonsense"]) == 2
@@ -401,7 +424,7 @@ class TestParserReuse:
         argv = ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--out", str(tmp_path / "r.json")]
         assert dispatch(argv + ["--tol", "1e-30"]) == 1
         assert dispatch(argv) == 0
-        assert seen[0].reduction_tol == 1e-30
+        assert seen[0] == SuiteConfig(seed=3, cases=10, tol=1e-30)
         assert seen[1] == SuiteConfig(seed=3, cases=10)
 
     def test_help_and_usage_text(self, capsys):

@@ -15,8 +15,7 @@ from sconvexlab import (
     GenConfig,
     OrderedInterval,
     PowerSum,
-    certify_concave,
-    certify_s_convex,
+    certify,
     check_hypothesis,
     handle_from_power_sum,
     integrate,
@@ -30,7 +29,7 @@ def _certified_instance(seed, s):
     """Sample an instance from the base family and certify its |f'|."""
     f, iv = sample_dconvex_instance(random.Random(seed), GenConfig())
     df = f.derivative
-    return f, iv, certify_s_convex(lambda x: np.abs(df(x)), s, iv.a, iv.b)
+    return f, iv, certify(lambda x: np.abs(df(x)), s, iv.a, iv.b)
 
 
 def _direct_certify(phi, s, lo, hi, concave):
@@ -108,16 +107,16 @@ class TestSParam:
 
 class TestCertifier:
     def test_square_is_convex(self):
-        result = certify_s_convex(lambda x: x ** 2, 1.0, 1.0, 4.0)
+        result = certify(lambda x: x ** 2, 1.0, 1.0, 4.0)
         assert result.certified
         assert result.counterexample is None
         assert result.samples_checked == 33 * 33 * 21
 
     def test_sqrt_is_half_convex(self):
-        assert certify_s_convex(lambda x: np.sqrt(x), 0.5, 1.0, 4.0).certified
+        assert certify(lambda x: np.sqrt(x), 0.5, 1.0, 4.0).certified
 
     def test_negated_square_fails_with_witness(self):
-        result = certify_s_convex(lambda x: -(x ** 2), 1.0, 1.0, 4.0)
+        result = certify(lambda x: -(x ** 2), 1.0, 1.0, 4.0)
         assert not result.certified
         x, y, t, lhs, rhs = result.counterexample
         # The witness really violates the inequality beyond the allowance.
@@ -127,18 +126,18 @@ class TestCertifier:
     def test_nonpositive_function_fails_for_fractional_s(self):
         # x = y rows force phi(x) <= (t^s + (1-t)^s) phi(x), impossible for
         # strictly negative values once s < 1.
-        assert not certify_s_convex(lambda x: -1.0 - 0.0 * x, 0.5, 1.0, 4.0).certified
+        assert not certify(lambda x: -1.0 - 0.0 * x, 0.5, 1.0, 4.0).certified
 
     def test_non_finite_raises(self):
         with np.errstate(invalid="ignore"):
             with pytest.raises(EvalError):
-                certify_s_convex(lambda x: np.log(x - 2.0), 1.0, 1.0, 4.0)
+                certify(lambda x: np.log(x - 2.0), 1.0, 1.0, 4.0)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            certify_s_convex(lambda x: x, 1.0, 4.0, 1.0)
+            certify(lambda x: x, 1.0, 4.0, 1.0)
         with pytest.raises(DomainError):
-            certify_s_convex(lambda x: x, 1.0, 0.0, 4.0)
+            certify(lambda x: x, 1.0, 0.0, 4.0)
 
     @pytest.mark.parametrize("phi, s, concave", [
         (lambda x: x ** 2, 1.0, False),
@@ -154,18 +153,24 @@ class TestCertifier:
         (lambda x: np.sin(x), 1.0, True),
     ])
     def test_matches_direct_formula(self, phi, s, concave):
-        if concave:
-            result = certify_concave(phi, 0.5, 3.5)
-        else:
-            result = certify_s_convex(phi, s, 0.5, 3.5)
+        result = certify(phi, s, 0.5, 3.5, concave)
         expected = _direct_certify(phi, s, 0.5, 3.5, concave)
         assert result.certified == (expected is None)
         assert result.counterexample == expected
 
     def test_concavity(self):
-        assert certify_concave(lambda x: np.sqrt(x), 1.0, 4.0).certified
-        result = certify_concave(lambda x: x ** 2, 1.0, 4.0)
+        assert certify(lambda x: np.sqrt(x), 1.0, 1.0, 4.0, concave=True).certified
+        result = certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True)
         assert not result.certified and result.counterexample is not None
+
+    def test_concavity_ignores_s(self):
+        # The concavity check compares with the chord whatever s is given,
+        # and does not validate it.
+        chord = certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True)
+        for s in (0.25, 7.0, None):
+            assert certify(lambda x: x ** 2, s, 1.0, 4.0, concave=True) == chord
+        with pytest.raises(DomainError):
+            certify(lambda x: x ** 2, 7.0, 1.0, 4.0)
 
     def test_convex_implies_s_convex_on_nonnegative_family(self):
         """t <= t^s on [0,1]: certified convex nonnegative functions stay
@@ -174,9 +179,9 @@ class TestCertifier:
         for _ in range(10):
             f, iv = sample_dconvex_instance(rng, GenConfig())
             df = f.derivative
-            assert certify_s_convex(lambda x: np.abs(df(x)), 1.0, iv.a, iv.b).certified
+            assert certify(lambda x: np.abs(df(x)), 1.0, iv.a, iv.b).certified
             for s in (0.1, 0.4, 0.75):
-                assert certify_s_convex(lambda x: np.abs(df(x)), s, iv.a, iv.b).certified
+                assert certify(lambda x: np.abs(df(x)), s, iv.a, iv.b).certified
 
 
 HYPOTHESES = ("f", "|f'|", "|f'|^q")
@@ -191,9 +196,7 @@ def _grid_certifies(ps, hypothesis, s, q, concave, lo, hi):
         phi = lambda x: np.abs(ps(x))
     else:
         phi = lambda x: np.abs(ps(x)) ** q
-    if concave:
-        return certify_concave(phi, lo, hi).certified
-    return certify_s_convex(phi, s, lo, hi).certified
+    return certify(phi, s, lo, hi, concave).certified
 
 
 @st.composite
@@ -322,7 +325,7 @@ class TestGenerator:
         # f' = 0.5 x^(-1/2) comes from f = sqrt; |f'| is s-convex at s = 1/2.
         dps = PowerSum([(0.5, -0.5)])
         assert dps.antiderivative().terms == ((1.0, 0.5),)
-        assert certify_s_convex(lambda x: np.abs(dps(x)), 0.5, 0.5, 3.0).certified
+        assert certify(lambda x: np.abs(dps(x)), 0.5, 0.5, 3.0).certified
 
     def test_hypotheses_hold_across_powers(self):
         """|f'| and |f'|^q certify as s-convex for q in {1, 1.5, 2, 3}."""
@@ -331,7 +334,7 @@ class TestGenerator:
             assert cert.certified
             df = f.derivative
             for q in (1.0, 1.5, 2.0, 3.0):
-                res = certify_s_convex(lambda x: np.abs(df(x)) ** q, 0.5, iv.a, iv.b)
+                res = certify(lambda x: np.abs(df(x)) ** q, 0.5, iv.a, iv.b)
                 assert res.certified, f"seed {seed}, q {q}: {res.counterexample}"
 
     def test_exact_integral_agrees_with_quadrature(self):

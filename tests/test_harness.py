@@ -22,6 +22,7 @@ from sconvexlab import (
     run_prop_crosscheck_suite,
     run_reduction_suite,
 )
+from sconvexlab.bounds import DEFAULT_BOUND_TOL
 from sconvexlab.errors import SuiteError
 from sconvexlab.funcmodel import CertResult, FuncHandle, PowerSum, sample_interval
 from sconvexlab.means_bounds import PROPOSITIONS
@@ -35,20 +36,26 @@ def _proofs_off(monkeypatch):
     monkeypatch.setattr(funcmodel, "prove_hypothesis", lambda *a, **k: None)
 
 
+def _corrupt_identity_instances(monkeypatch):
+    """Give every identity case f = x^2 on [1, 3] with the wrong f' = 3x^2."""
+    corrupted = FuncHandle(value=lambda x: x ** 2, derivative=lambda x: 3 * x ** 2)
+    monkeypatch.setattr(harness, "sample_dconvex_instance", lambda rng, cfg: (corrupted, OrderedInterval(1, 3)))
+
+
 class TestIdentitySuite:
     def test_clean_run(self):
         report = run_identity_suite(CFG)
         assert report.cases_run == 40
         assert report.violations == ()
-        assert report.worst_margin >= -CFG.identity_tol
+        assert report.worst_margin >= -harness._IDENTITY_TOL
 
-    def test_negative_control(self):
+    def test_negative_control(self, monkeypatch):
         # value says x^2 but the declared derivative is 3x^2: the identity
         # must flag the mismatch as a violation, not an error.
-        corrupted = FuncHandle(value=lambda x: x ** 2, derivative=lambda x: 3 * x ** 2)
-        report = run_identity_suite(CFG, instances=[(corrupted, OrderedInterval(1, 3))])
-        assert len(report.violations) == 1
-        assert report.violations[0].theorem == "identity"
+        _corrupt_identity_instances(monkeypatch)
+        report = run_identity_suite(CFG)
+        assert len(report.violations) == CFG.cases
+        assert {r.theorem for r in report.violations} == {"identity"}
 
     def test_determinism(self):
         r1 = run_identity_suite(CFG)
@@ -79,7 +86,7 @@ class TestBoundSuites:
     def test_skip_accounting_and_all_skipped_failure(self, monkeypatch):
         always_fail = CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
         _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify_s_convex", lambda *a, **k: always_fail)
+        monkeypatch.setattr(funcmodel, "certify", lambda *a, **k: always_fail)
         with pytest.raises(SuiteError):
             run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
 
@@ -98,8 +105,7 @@ class TestBoundSuites:
             return certify
 
         _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify_s_convex", flaky(funcmodel.certify_s_convex))
-        monkeypatch.setattr(funcmodel, "certify_concave", flaky(funcmodel.certify_concave))
+        monkeypatch.setattr(funcmodel, "certify", flaky(funcmodel.certify))
         for theorem in THEOREMS:
             calls["i"] = 0
             report = run_bound_suite(cfg, theorem)
@@ -123,8 +129,7 @@ class TestGridFallback:
 
         if not proofs:
             _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify_s_convex", counting(funcmodel.certify_s_convex))
-        monkeypatch.setattr(funcmodel, "certify_concave", counting(funcmodel.certify_concave))
+        monkeypatch.setattr(funcmodel, "certify", counting(funcmodel.certify))
 
     def test_verify_certifies_every_case_on_the_grid(self, monkeypatch, tmp_path):
         calls = {"n": 0}
@@ -165,9 +170,12 @@ class TestGridFallback:
         def no_grid(*args, **kwargs):
             raise AssertionError("a generated case reached the grid certifier")
 
-        monkeypatch.setattr(funcmodel, "certify_s_convex", no_grid)
-        monkeypatch.setattr(funcmodel, "certify_concave", no_grid)
-        for seed in (1, 2, 3, 42, 7331):
+        monkeypatch.setattr(funcmodel, "certify", no_grid)
+        # Case i draws from sub-seed seed ^ i, so seeds 1, 2 and 3 would
+        # share all 200 sub-seeds, and 42 shares 192 of them with 3.  The
+        # k << 20 seeds give sub-seed sets disjoint from each other and from
+        # 42's and 7331's, so five seeds check five instance sets.
+        for seed in (1 << 20, 2 << 20, 3 << 20, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:
                 assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
@@ -229,12 +237,12 @@ class TestPropSuite:
                     oracle = FuncHandle(value=ps, derivative=ps.derivative())
                     lhs = prop_lhs(iv, s)
                     defect = harness.bullen_type_defect(oracle, iv)
-                    expected.append(harness._match_row(i, xcheck, iv, s, None, lhs, defect, cfg.bound_tol))
+                    expected.append(harness._match_row(i, xcheck, iv, s, None, lhs, defect, DEFAULT_BOUND_TOL))
                     for pid, (pfamily, carries_q, _) in means_bounds.PROPOSITIONS.items():
                         if pfamily == family:
                             q_row = q if carries_q else None
                             rhs = means_bounds.prop_rhs(pid, iv, s, q_row)
-                            expected.append(harness._bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, cfg.bound_tol))
+                            expected.append(harness._bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, DEFAULT_BOUND_TOL))
         assert run_prop_crosscheck_suite(cfg).rows == tuple(expected)
 
 
@@ -249,9 +257,9 @@ class TestReportSerialization:
         for v in payload["violations"]:
             assert set(v) == {"case", "theorem", "a", "b", "s", "q", "lhs", "rhs", "margin"}
 
-    def test_violation_entries_serialized(self):
-        corrupted = FuncHandle(value=lambda x: x ** 2, derivative=lambda x: 3 * x ** 2)
-        report = run_identity_suite(CFG, instances=[(corrupted, OrderedInterval(1, 3))])
+    def test_violation_entries_serialized(self, monkeypatch):
+        _corrupt_identity_instances(monkeypatch)
+        report = run_identity_suite(SuiteConfig(seed=42, cases=1))
         payload = report_to_dict(report)
         assert len(payload["violations"]) == 1
         entry = payload["violations"][0]
@@ -365,7 +373,14 @@ class TestConfigValidation:
             SuiteConfig(cases=0)
 
     def test_bad_tolerances(self):
-        for field in ("identity_tol", "bound_tol", "reduction_tol"):
-            for bad in (float("nan"), float("inf"), -1e-9):
-                with pytest.raises(DomainError):
-                    SuiteConfig(**{field: bad})
+        for bad in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(DomainError):
+                SuiteConfig(tol=bad)
+
+    def test_negative_seed(self):
+        # random.Random seeds with an int's absolute value, so a negative
+        # seed would replay another seed's cases.
+        SuiteConfig(seed=0)
+        for bad in (-1, -42, -(1 << 40)):
+            with pytest.raises(DomainError):
+                SuiteConfig(seed=bad)

@@ -16,7 +16,6 @@ from sconvexlab import (
     prop_power_lhs,
     prop_recip_lhs,
     prop_rhs,
-    prop_se4_rhs_printed,
     se4_discrepancy,
 )
 from sconvexlab.funcmodel import FuncHandle
@@ -160,7 +159,6 @@ class TestSe4Discrepancy:
         d = se4_discrepancy(IV14, 0.5)
         assert d.printed_rhs < d.substitution_rhs
         assert d.printed_rhs < 0.0
-        assert prop_se4_rhs_printed(IV14, 0.5) == d.printed_rhs
         assert d.substitution_rhs == pytest.approx(prop_rhs("SE4", IV14, 0.5), rel=1e-15)
 
     def test_first_terms_agree_with_substitution(self):
