@@ -53,7 +53,7 @@ from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .harness import (
     SuiteConfig,
     SuiteReport,
-    render_csv,
+    _csv_lines,
     render_json,
     run_bound_suite,
     run_identity_suite,
@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         print(f"report written to {args.out}")
     elif args.format == "csv":
-        sys.stdout.write(render_csv(payload))
+        sys.stdout.writelines(_csv_lines(payload))
     else:
         sys.stdout.write(render_json(payload))
     return 0 if total_violations == 0 else 1

@@ -22,10 +22,13 @@ runs would agree and identical configs produce identical reports.
 
 Report rows are CaseRow named tuples whose fields are the CSV columns
 after "suite", in column order.  One line generator renders the CSV
-report, both for render_csv and for write_report, which streams it to the
-file: floats as repr, formatted once per distinct value within a case,
-None as an empty field, and no quoting, since no suite id, row id or
-status holds a comma, a quote or a line break.
+report, for render_csv, for write_report, which streams it to the file,
+and for `verify --format csv`, which streams it to stdout: None as an
+empty field, any other cell as str (a float's repr), and no quoting,
+since no suite id, row id or status holds a comma, a quote or a line
+break.  The columns that repeat within a case (a, b, s, q and lhs)
+format each distinct exact float once per case; rhs and margin are
+formatted once per row.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -297,9 +300,12 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     return _finish("reductions", cfg, rows, [], t0)
 
 
-def _quadrature_oracle(ps: PowerSum) -> FuncHandle:
-    """f and f' with no exact integral, so the defect's mean is integrated."""
-    return FuncHandle(value=ps, derivative=ps.derivative())
+def _quadrature_oracle(c: float, p: float) -> FuncHandle:
+    """f = c * x^p and f' with no exact integral, so the defect's mean is
+    integrated.  f is the one term itself, not PowerSum([(c, p)]): that
+    adds the term to 0.0, which changes no bit here, since c > 0 and
+    x > 0 make the product at least +0.0."""
+    return FuncHandle(value=lambda x: c * x ** p, derivative=PowerSum([(c, p)]).derivative())
 
 
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -308,19 +314,20 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     # Per family: its cross-check row id, mean-form defect, endpoint |f'|,
     # propositions as (id, whether the row carries q, bound), and for each s
-    # of its grid the quadrature oracle of the underlying function (x^s or
-    # x^(1-s)/(1-s)).  An oracle depends on s alone, so each is built once
-    # per suite; the endpoint |f'| depends on the case too, so it is
-    # computed once per case and s and shared by the family's propositions.
+    # of its grid the quadrature oracle of the underlying function's one
+    # term (c, p): x^s or x^(1-s)/(1-s).  An oracle depends on s alone, so
+    # each is built once per suite; the endpoint |f'| depends on the case
+    # too, so it is computed once per case and s and shared by the family's
+    # propositions.
     families = [
         (xcheck, prop_lhs, FAMILY_DF[family],
          [(pid, carries_q, bound) for pid, (pfamily, carries_q, bound) in PROPOSITIONS.items()
           if pfamily == family],
-         [(s, _quadrature_oracle(underlying(s))) for s in s_grid])
-        for family, xcheck, s_grid, prop_lhs, underlying in (
-            ("power", "prop_power_xcheck", _PROP_POWER_S, prop_power_lhs, lambda s: PowerSum([(1.0, s)])),
+         [(s, _quadrature_oracle(*term(s))) for s in s_grid])
+        for family, xcheck, s_grid, prop_lhs, term in (
+            ("power", "prop_power_xcheck", _PROP_POWER_S, prop_power_lhs, lambda s: (1.0, s)),
             ("recip", "prop_recip_xcheck", _PROP_RECIP_S, prop_recip_lhs,
-             lambda s: PowerSum([(1.0 / (1.0 - s), 1.0 - s)])),
+             lambda s: (1.0 / (1.0 - s), 1.0 - s)),
         )
     ]
     rows: list[CaseRow] = []
@@ -386,41 +393,55 @@ def render_json(reports) -> str:
 CSV_HEADER = ("suite", "case", "theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "status")
 
 
+class _Reprs(dict):
+    """A case's float reprs: a miss formats the float and keeps it."""
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        text = self[x] = repr(x)
+        return text
+
+
+def _text(x) -> str:
+    return "" if x is None else str(x)
+
+
 def _csv_lines(reports):
     """The CSV report line by line: the header, then (suite_id,) + row.
 
-    Writes what csv.writer writes for these rows: floats as repr, None as
-    an empty field, anything else as str, and no quoting, since no suite
-    id, row id or status holds a comma, a quote or a line break.  A case's
-    rows repeat its a, b, s, q and lhs, so each distinct float is formatted
-    once per case.  Zeros skip the memo (-0.0 == 0.0 but their reprs
-    differ), and so does every other type (1 == 1.0).
+    Writes what csv.writer writes for these rows: None as an empty field,
+    every other cell as str (for a float, its repr), and no quoting, since
+    no suite id, row id or status holds a comma, a quote or a line break.
+    "suite,case," is formatted once per case.  A case's rows repeat its a,
+    b, s, q and lhs, so those columns format each distinct float once per
+    case; rhs and margin, which do not repeat, are formatted once per row.
+    Only exact non-zero floats take the memo: -0.0 == 0.0 but their reprs
+    differ, and so do those of 1 and 1.0 or of a float subclass.
     """
     if isinstance(reports, SuiteReport):
         reports = (reports,)
     yield ",".join(CSV_HEADER) + "\n"
-    reprs: dict[float, str] = {}
-    case = None
+    reprs = _Reprs()
     for report in reports:
-        head = report.suite_id + ","
-        for row in report.rows:
-            if row.case != case:
-                case = row.case
+        suite = report.suite_id + ","
+        case = object()  # equal to no case number
+        for case_no, theorem, a, b, s, q, lhs, rhs, margin, status in report.rows:
+            if case_no != case:
+                case = case_no
+                head = suite + _text(case_no) + ","
                 reprs.clear()
-            cells = []
-            for x in row:
-                if type(x) is float and x:
-                    text = reprs.get(x)
-                    if text is None:
-                        text = reprs[x] = repr(x)
-                elif x is None:
-                    text = ""
-                elif isinstance(x, float):
-                    text = repr(x)
-                else:
-                    text = str(x)
-                cells.append(text)
-            yield head + ",".join(cells) + "\n"
+            yield ",".join((
+                head + _text(theorem),
+                reprs[a] if type(a) is float and a else _text(a),
+                reprs[b] if type(b) is float and b else _text(b),
+                reprs[s] if type(s) is float and s else _text(s),
+                reprs[q] if type(q) is float and q else _text(q),
+                reprs[lhs] if type(lhs) is float and lhs else _text(lhs),
+                repr(rhs) if type(rhs) is float else _text(rhs),
+                repr(margin) if type(margin) is float else _text(margin),
+                _text(status) + "\n",
+            ))
 
 
 def render_csv(reports) -> str:

@@ -16,6 +16,7 @@ from sconvexlab import THEOREMS, OrderedInterval, ParseError, PowerSum, SuiteCon
 from sconvexlab import cli
 from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch
 from sconvexlab.errors import LabError, MissingParam
+from sconvexlab.harness import render_csv
 
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
@@ -226,6 +227,20 @@ class TestVerifyCommand:
         out = tmp_path / "report.csv"
         assert dispatch(["verify", *extra, "--format", "csv", "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite", ["props", "all"])
+    def test_csv_report_streams_to_stdout(self, capsys, suite):
+        # Without --out the report follows the summary lines on stdout, with
+        # the bytes render_csv gives for the same reports (one, or a list).
+        assert dispatch(["verify", "--suite", suite, "--cases", "3", "--seed", "11", "--format", "csv"]) == 0
+        printed = capsys.readouterr().out
+        reports = cli._run_suites(suite, SuiteConfig(seed=11, cases=3))
+        report = render_csv(reports[0] if len(reports) == 1 else reports)
+        assert printed.endswith(report)
+        summary = printed[: len(printed) - len(report)].splitlines()
+        suite_lines = [line for line in summary if line.startswith("suite ")]
+        assert len(suite_lines) == len(reports)
+        assert all(line.startswith("note: ") for line in summary if line not in suite_lines)
 
     def test_props_note_passthrough(self, capsys):
         assert dispatch(["verify", "--suite", "props", "--cases", "3", "--seed", "5"]) == 0

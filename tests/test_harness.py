@@ -6,12 +6,14 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import sconvexlab.cli as cli
 import sconvexlab.funcmodel as funcmodel
 import sconvexlab.harness as harness
 import sconvexlab.means_bounds as means_bounds
+import sconvexlab.quadrature as quadrature
 from sconvexlab import (
     THEOREMS,
     DomainError,
@@ -245,6 +247,23 @@ class TestPropSuite:
                             expected.append(harness._bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, DEFAULT_BOUND_TOL))
         assert run_prop_crosscheck_suite(cfg).rows == tuple(expected)
 
+    def test_oracle_matches_power_sum_bit_for_bit(self):
+        """Each oracle's value is its one term c * x^p, which gives the bits
+        PowerSum([(c, p)]) gives, at the 15 Kronrod nodes of sampled
+        intervals and at both endpoints."""
+        terms = [(1.0, s) for s in harness._PROP_POWER_S]
+        terms += [(1.0 / (1.0 - s), 1.0 - s) for s in harness._PROP_RECIP_S]
+        oracles = [(harness._quadrature_oracle(c, p).value, PowerSum([(c, p)])) for c, p in terms]
+        rng = random.Random(2024)
+        for _ in range(300):
+            iv = sample_interval(rng, harness._GEN)
+            nodes = [iv.a, iv.b]
+            quadrature._panel(lambda x: nodes.append(x) or 1.0, iv.a, iv.b)
+            assert len(nodes) == 17
+            for value, ps in oracles:
+                for x in nodes:
+                    assert float.hex(value(x)) == float.hex(ps(x)), (iv, ps, x)
+
 
 class TestReportSerialization:
     def test_json_schema_keys(self):
@@ -317,16 +336,30 @@ def all_suites():
     return cli._run_suites("all", SuiteConfig(seed=3, cases=4))
 
 
+class _StrFloat(float):
+    """A float whose str is not its repr; csv.writer writes the str."""
+
+    def __str__(self):
+        return f"<{float.__repr__(self)}>"
+
+
 class TestCsvRenderer:
     # Signed zeros in one case (equal as floats, unequal reprs), values
     # repeated within and across cases, an int beside an equal float,
-    # non-finite and subnormal cells, and None cells.
+    # non-finite and subnormal cells, None cells, and numpy floats and a
+    # float subclass beside equal floats in every column (equal, with
+    # unequal str).
     MIXED = _hand_report("mixed", [
         CaseRow(0, "t1", 0.0, 1.5, None, None, -0.0, 0.0, -0.0, "ok"),
         CaseRow(0, "t2", -0.0, 1.5, 0.25, 2.0, 0.1, 1, 1.0, "warning"),
         CaseRow(1, "t1", 0.1, 1.5, 0.25, 2.0, 0.1, 0.0, -0.0, "violation"),
         CaseRow(1, "t3", 5e-324, math.inf, -math.inf, math.nan, -math.nan, None, None, "skipped"),
         CaseRow(2, "t3", math.nan, -5e-324, 1.0, 1, 1e308, -1e-308, 0.30000000000000004, "ok"),
+        CaseRow(3, "t1", 2.5, 2.5, 0.1, 0.1, 2.5, 2.5, 0.1, "ok"),
+        CaseRow(3, "t2", np.float64(2.5), _StrFloat(2.5), np.float64(0.1), _StrFloat(0.1),
+                _StrFloat(2.5), np.float64(2.5), _StrFloat(0.1), "ok"),
+        CaseRow(3, "t3", _StrFloat(2.5), np.float64(2.5), _StrFloat(-0.0), np.float64(-0.0),
+                np.float64(2.5), _StrFloat(-0.0), np.float64(0.1), "warning"),
     ])
     SINGLE = _hand_report("single", [CaseRow(7, "t1", 1.0, 2.0, None, 3.0, 0.5, 0.75, 0.25, "ok")])
     EMPTY = _hand_report("empty", [])
