@@ -87,17 +87,17 @@ def verdict(lhs: float, rhs: float, tol: float) -> str:
     return "violation"
 
 
-def mean_value(f: FuncHandle, iv: OrderedInterval) -> float:
-    """Integral mean of f over the interval; exact route when available."""
+def mean_value(f: FuncHandle, lo: float, hi: float) -> float:
+    """Integral mean of f over [lo, hi]; exact route when available."""
     if f.exact_integral is not None:
-        return f.exact_integral(iv) / iv.width
-    return integrate(f.value, iv.a, iv.b).value / iv.width
+        return f.exact_integral(lo, hi) / (hi - lo)
+    return integrate(f.value, lo, hi).value / (hi - lo)
 
 
 def bullen_defect_signed(f: FuncHandle, iv: OrderedInterval) -> float:
     a, b = iv.a, iv.b
     mixed = (b * f.value(a) - a * f.value(b)) / (b - a)
-    return mean_value(f, iv) - 0.5 * (mixed + f.value(arithmetic_mean(iv)))
+    return mean_value(f, a, b) - 0.5 * (mixed + f.value(arithmetic_mean(iv)))
 
 
 def bullen_type_defect(f: FuncHandle, iv: OrderedInterval) -> float:
@@ -212,17 +212,12 @@ def hadamard_s_triple(f: FuncHandle, u: float, v: float, s) -> tuple[float, floa
     if not math.isfinite(f_u):
         raise DomainError(f"s-convex chain needs f finite at u = {u}; the function is unbounded or undefined there")
     left = 2.0 ** (sv - 1.0) * f.value(0.5 * (u + v))
-    if u > 0.0 and f.exact_integral is not None:
-        mid = f.exact_integral(OrderedInterval(u, v)) / (v - u)
-    else:
-        mid = integrate(f.value, u, v).value / (v - u)
-    right = (f_u + f.value(v)) / (sv + 1.0)
-    return left, mid, right
+    return left, mean_value(f, u, v), (f_u + f.value(v)) / (sv + 1.0)
 
 
 def trapezoid_defect(f: FuncHandle, iv: OrderedInterval) -> float:
     """| endpoint average - integral mean |, the classical trapezoid error."""
-    return abs(0.5 * (f.value(iv.a) + f.value(iv.b)) - mean_value(f, iv))
+    return abs(0.5 * (f.value(iv.a) + f.value(iv.b)) - mean_value(f, iv.a, iv.b))
 
 
 def chain_leg(left: float, mid: float, right: float) -> tuple[float, float]:
@@ -275,7 +270,7 @@ def _adk_sides(f, a, b, s, q):
 
 def _bullen_sides(f, a, b, s, q):
     """Bullen: the integral mean is at most (f(midpoint) + endpoint average)/2 for convex f."""
-    lhs = mean_value(f, OrderedInterval(a, b))
+    lhs = mean_value(f, a, b)
     return lhs, 0.5 * (f.value(0.5 * (a + b)) + 0.5 * (f.value(a) + f.value(b)))
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import DomainError, EvalError, ExponentError
@@ -94,33 +95,33 @@ class PowerSum:
         return " + ".join(parts)
 
 
-def powersum_integral(ps: PowerSum, iv: OrderedInterval) -> float:
-    """Exact definite integral, term by term; c*x^-1 integrates to c*log(b/a)."""
+def powersum_integral(ps: PowerSum, lo: float, hi: float) -> float:
+    """Exact integral of ps over [lo, hi], 0 <= lo < hi, term by term.
+
+    c*x^-1 integrates to c*log(hi/lo).  lo = 0 needs every exponent > -1,
+    so that each term's integral is finite.
+    """
     total = 0.0
     for c, p in ps.terms:
         if p == -1.0:
-            total += c * math.log1p((iv.b - iv.a) / iv.a)
+            total += c * math.log1p((hi - lo) / lo)
         else:
-            total += c * (iv.b ** (p + 1.0) - iv.a ** (p + 1.0)) / (p + 1.0)
+            total += c * (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
     return total
 
 
 @dataclass(frozen=True)
 class FuncHandle:
-    """A function, its derivative, and an optional exact definite integral."""
+    """A function, its derivative, and optionally exact_integral(lo, hi),
+    its definite integral over [lo, hi]."""
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    exact_integral: Optional[Callable[[OrderedInterval], float]] = None
+    exact_integral: Optional[Callable[[float, float], float]] = None
 
 
 def handle_from_power_sum(ps: PowerSum) -> FuncHandle:
-    dps = ps.derivative()
-    return FuncHandle(
-        value=ps,
-        derivative=dps,
-        exact_integral=lambda iv: powersum_integral(ps, iv),
-    )
+    return FuncHandle(value=ps, derivative=ps.derivative(), exact_integral=partial(powersum_integral, ps))
 
 
 @dataclass(frozen=True)
@@ -302,9 +303,5 @@ def sample_dconvex_instance(rng: random.Random, cfg: GenConfig) -> tuple[FuncHan
         terms.append((rng.uniform(cfg.coeff_min, cfg.coeff_max), exponent))
     dps = PowerSum(terms)
     f = dps.antiderivative()
-    handle = FuncHandle(
-        value=f,
-        derivative=dps,
-        exact_integral=lambda window: powersum_integral(f, window),
-    )
+    handle = FuncHandle(value=f, derivative=dps, exact_integral=partial(powersum_integral, f))
     return handle, sample_interval(rng, cfg)

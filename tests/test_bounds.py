@@ -256,6 +256,13 @@ class TestHadamardChains:
         assert abs(mid - right) <= 1e-10  # the constant 1/(s+1) is attained
         assert left <= mid <= right + 1e-10
 
+    def test_s_triple_at_zero_exact_or_numerical(self):
+        """At u = 0 a power sum's mean is exact; a handle without an exact
+        integral still gets it by quadrature."""
+        assert hadamard_s_triple(SQRT, 0.0, 1.0, 0.5)[1] == pytest.approx(2 / 3, rel=1e-15)
+        plain = FuncHandle(value=lambda x: math.sqrt(x), derivative=lambda x: 0.5 / math.sqrt(x))
+        assert abs(hadamard_s_triple(plain, 0.0, 1.0, 0.5)[1] - 2 / 3) <= 1e-10
+
     def test_s_triple_reduces_to_plain_chain_at_s1(self):
         assert hadamard_s_triple(X2, 1.0, 3.0, 1.0) == pytest.approx((4.0, 13 / 3, 5.0), rel=1e-12)
         assert hadamard_s_triple(X, 1.0, 3.0, 1.0) == pytest.approx((2.0, 2.0, 2.0), abs=1e-13)

@@ -198,8 +198,8 @@ class TestVerifyCommand:
         assert code == 1
 
     @pytest.mark.parametrize("suite, digest", [
-        ("all", "520dec14dd0c761740477c2fb1bbb3b932ba1349cbb5bc79bc12d9101c0c90cd"),
-        ("bounds", "753b2780e8e6c82e2ca5dfaa58e1cca1255640635b876b21d0bdcc2452024b7c"),
+        ("all", "0c85e09b535e5f53312f2317956f8b552b73b7aff0a9b5da34e97cd8fc05189d"),
+        ("bounds", "f704236c0a1c17f7afe16bca7bc52ec3d33416392326107d32a675ee01e6044e"),
         ("props", "21785f2b26825db710fbd47180901d86a2005dd31538045f7a0f4fe92e9a7b92"),
     ])
     def test_golden_report_digest(self, tmp_path, capsys, suite, digest):
@@ -217,11 +217,11 @@ class TestVerifyCommand:
         # --tol 0 replaces every suite's own tolerance, so statuses move in
         # all four kinds of suite: identity, bounds, reductions and props.
         (["--suite", "all", "--cases", "20", "--seed", "42", "--tol", "0"], 1,
-         "088cdfbf675a04f19e8c10181ee9195ac7cac2702c38690019505e53f293d162"),
+         "074d0e53b7e0473d98ec95a61d81b48a7264e461da8bc4096d0b16c0338b7b9e"),
         # 200 cases per bound suite draw from every instance family,
         # including the s-term swap and the sharp case of the s-power family.
         (["--suite", "bounds", "--cases", "200", "--seed", "7331"], 0,
-         "b63ebdb1ed9285b137d8cb4004eeaea56874b2fb1631d34e8d6dea395cc5382b"),
+         "9bef19374695160f94e6464d66378d267ed418641d27e040198dd7c3452db528"),
     ], ids=["tol-override", "bound-families"])
     def test_golden_report_digest_more(self, tmp_path, capsys, extra, code, digest):
         out = tmp_path / "report.csv"

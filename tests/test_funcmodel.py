@@ -53,13 +53,18 @@ def _direct_certify(phi, s, lo, hi, concave):
 
 class TestPowerSum:
     def test_integral_examples(self):
-        assert powersum_integral(PowerSum([(1, 2)]), OrderedInterval(1, 3)) == pytest.approx(26 / 3, rel=1e-15)
-        assert powersum_integral(PowerSum([(1, 0.5)]), OrderedInterval(1, 4)) == pytest.approx(14 / 3, rel=1e-15)
-        assert powersum_integral(PowerSum([(2.5, 0)]), OrderedInterval(1, 3)) == pytest.approx(5.0, rel=1e-15)
+        assert powersum_integral(PowerSum([(1, 2)]), 1, 3) == pytest.approx(26 / 3, rel=1e-15)
+        assert powersum_integral(PowerSum([(1, 0.5)]), 1, 4) == pytest.approx(14 / 3, rel=1e-15)
+        assert powersum_integral(PowerSum([(2.5, 0)]), 1, 3) == pytest.approx(5.0, rel=1e-15)
+
+    def test_integral_from_zero(self):
+        # lo = 0 is allowed when every exponent is > -1.
+        assert powersum_integral(PowerSum([(1, 0.5), (3, 2)]), 0.0, 1.0) == pytest.approx(2 / 3 + 1, rel=1e-15)
+        assert powersum_integral(PowerSum([(2, -0.5)]), 0.0, 4.0) == 8.0
 
     def test_exponent_minus_one_rejected(self):
         # x^-1 has no power-function antiderivative, but its integral is a log.
-        assert powersum_integral(PowerSum([(1.0, -1.0)]), OrderedInterval(1, 2)) == math.log(2)
+        assert powersum_integral(PowerSum([(1.0, -1.0)]), 1, 2) == math.log(2)
         with pytest.raises(ExponentError):
             PowerSum([(2.0, -1.0)]).antiderivative()
 
@@ -83,7 +88,7 @@ class TestPowerSum:
             ps = PowerSum(terms)
             a = rng.uniform(0.25, 2.0)
             iv = OrderedInterval(a, a + rng.uniform(0.1, 2.0))
-            assert powersum_integral(ps, iv) == pytest.approx(
+            assert powersum_integral(ps, iv.a, iv.b) == pytest.approx(
                 integrate(ps, iv.a, iv.b).value, rel=1e-9, abs=1e-11
             )
 
@@ -340,7 +345,7 @@ class TestGenerator:
     def test_exact_integral_agrees_with_quadrature(self):
         for seed in (3, 8, 15):
             f, iv, _ = _certified_instance(seed, 1.0)
-            exact = f.exact_integral(iv)
+            exact = f.exact_integral(iv.a, iv.b)
             approx = integrate(f.value, iv.a, iv.b).value
             assert exact == pytest.approx(approx, rel=1e-9)
 

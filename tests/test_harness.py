@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import sconvexlab.bounds
 import sconvexlab.cli as cli
 import sconvexlab.funcmodel as funcmodel
 import sconvexlab.harness as harness
@@ -178,6 +179,20 @@ class TestGridFallback:
         # k << 20 seeds give sub-seed sets disjoint from each other and from
         # 42's and 7331's, so five seeds check five instance sets.
         for seed in (1 << 20, 2 << 20, 3 << 20, 42, 7331):
+            cfg = SuiteConfig(seed=seed, cases=200)
+            for theorem in THEOREMS:
+                assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
+
+
+    def test_no_bound_suite_integrates_numerically(self, monkeypatch):
+        """Every instance family is a power sum, whose integral mean is exact
+        on every window, [0, v] included, so no bound case needs quadrature."""
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a bound case integrated numerically")
+
+        monkeypatch.setattr(sconvexlab.bounds, "integrate", no_quadrature)
+        for seed in (1, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:
                 assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)

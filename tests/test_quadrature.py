@@ -135,7 +135,7 @@ class TestStructuralProperties:
             ps = PowerSum(terms)
             a = rng.uniform(0.25, 2.0)
             iv = OrderedInterval(a, a + rng.uniform(0.1, 2.0))
-            exact = powersum_integral(ps, iv)
+            exact = powersum_integral(ps, iv.a, iv.b)
             approx = integrate(ps, iv.a, iv.b).value
             assert approx == pytest.approx(exact, rel=1e-9, abs=1e-11), (
                 f"quadrature disagrees with antiderivative for {ps.to_dsl()} on {iv}"
