@@ -104,7 +104,9 @@ def powersum_integral(ps: PowerSum, lo: float, hi: float) -> float:
     total = 0.0
     for c, p in ps.terms:
         if p == -1.0:
-            total += c * math.log1p((hi - lo) / lo)
+            ratio = (hi - lo) / lo
+            # Past the float range, log1p(ratio) is inf but log(hi) - log(lo) is not.
+            total += c * (math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo))
         else:
             total += c * (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
     return total

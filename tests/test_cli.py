@@ -160,6 +160,23 @@ class TestCommands:
         assert dispatch(["means", "--a", a, "--b", b, "--p", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == [f"L_p^p {mean_l}", f"L_p {mean_l}"]
 
+    @pytest.mark.parametrize("p, mean_pow, mean", [
+        ("-2.5", 6.6666666666666661e+149, 1.1760790225246736e-60),
+        ("-3", 4.9999999999999995e+299, 1.2599210498948732e-100),
+    ])
+    def test_gen_log_mean_when_a_over_b_underflows(self, capsys, p, mean_pow, mean):
+        # a / b = 1e-600 underflows to 0 and a^(p+1) overflows.
+        assert dispatch(["means", "--a", "1e-300", "--b", "1e300", "--p", p]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("L_p^p ") and lines[3].startswith("L_p ")
+        assert float(lines[2].split()[1]) == pytest.approx(mean_pow, rel=1e-12)
+        assert float(lines[3].split()[1]) == pytest.approx(mean, rel=1e-12)
+
+    def test_reciprocal_mean_over_a_wide_window(self, capsys):
+        # hi / lo = 1e600 is past the float range; the mean is log(b/a)/(b-a).
+        assert dispatch(["bound", "--theorem", "bullen", "--f", "1*x^-1", "--a", "1e-300", "--b", "1e300"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "lhs 1.38155105579643e-297"
+
     def test_fifteen_significant_digits(self, capsys):
         dispatch(["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"])
         assert capsys.readouterr().out.strip() == "0.431652807180127"
@@ -301,6 +318,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: generalized logarithmic mean undefined for p={float(p)}\n"
+
+    @pytest.mark.parametrize("a, b, p", [
+        ("5e-324", "1.624800201446007e+124", "-2.842509883017094"),  # L_p^p about 1.65e471
+        ("1e-300", "1", "-2.5"),  # L_p^p about 6.7e449
+    ])
+    def test_gen_log_mean_out_of_range_is_an_error(self, capsys, a, b, p):
+        assert dispatch(["means", "--a", a, "--b", b, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: floating-point overflow: L_p^p out of range for p={float(p)} on [{float(a)}, {float(b)}]\n"
+        )
 
     def test_negative_p_on_a_one_ulp_interval(self, capsys):
         # L_p^p rounds to 0 on [1, 1 + 2^-52], and 0 has no negative power.

@@ -68,6 +68,10 @@ class TestPowerSum:
         with pytest.raises(ExponentError):
             PowerSum([(2.0, -1.0)]).antiderivative()
 
+    def test_reciprocal_past_the_float_range(self):
+        # hi / lo = 1e600 overflows, so log1p would give inf.
+        assert powersum_integral(PowerSum([(2.0, -1.0)]), 1e-300, 1e300) == 2.0 * (math.log(1e300) - math.log(1e-300))
+
     def test_derivative_termwise(self):
         ps = PowerSum([(0.5, 0.5), (2.5, 0.0)])
         assert ps.derivative().terms == ((0.25, -0.5),)

@@ -140,6 +140,56 @@ class TestGenLogMeanPow:
             )
 
 
+class TestGenLogMeanPastTheFloatRange:
+    """p + 1 < 0 with a power that is not a normal float: a^(p+1) is the
+    larger power and can overflow on its own, and a/b can underflow."""
+
+    # 40-digit values of L_p^p and L_p.
+    @pytest.mark.parametrize("a, b, p, mean_pow, mean", [
+        (1e-300, 1e300, -2.5, 6.6666666666666661e+149, 1.1760790225246736e-60),
+        (1e-300, 1e300, -3.0, 4.9999999999999995e+299, 1.2599210498948732e-100),
+    ])
+    def test_values(self, a, b, p, mean_pow, mean):
+        iv = OrderedInterval(a, b)
+        assert gen_log_mean_pow(iv, p) == pytest.approx(mean_pow, rel=1e-15)
+        assert gen_log_mean(iv, p) == pytest.approx(mean, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, p", [
+        (5e-324, 1.624800201446007e+124, -2.842509883017094),  # about 1.65e471
+        (1e-300, 1.0, -2.5),  # about 6.7e449
+        (0.5, 2.0, -1e20),
+    ])
+    def test_out_of_range_raises(self, a, b, p):
+        with pytest.raises(OverflowError, match="out of range"):
+            gen_log_mean_pow(OrderedInterval(a, b), p)
+
+    def test_matches_a_high_precision_reference(self):
+        """Within 4e-16 of (e^(k ln b) - e^(k ln a)) / (k (b - a)), k = p + 1,
+        at 60 digits, wherever a^k or b^k is not a normal float."""
+        ctx = decimal.Context(prec=60)
+        normal = (decimal.Decimal(2.2250738585072014e-308), decimal.Decimal(1.7976931348623157e308))
+        rng = random.Random(29)
+        checked = 0
+        while checked < 100:
+            a, b = sorted(10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+            p = -1.0 - 10.0 ** rng.uniform(-3.0, 1.0)
+            # Skip, from a float estimate, draws whose powers are both normal
+            # or whose L_p^p (about a^(p+1) / ((-1-p) b)) is not.
+            log_a, log_b = (p + 1.0) * math.log10(a), (p + 1.0) * math.log10(b)
+            if -307.0 < log_b and log_a < 308.0 or not -300.0 < log_a - math.log10(-1.0 - p) - math.log10(b) < 300.0:
+                continue
+            k = decimal.Decimal(p + 1.0)
+            da, db = ctx.plus(decimal.Decimal(a)), ctx.plus(decimal.Decimal(b))
+            a_pow, b_pow = ctx.exp(ctx.multiply(k, ctx.ln(da))), ctx.exp(ctx.multiply(k, ctx.ln(db)))
+            exact = ctx.divide(ctx.subtract(b_pow, a_pow), ctx.multiply(k, ctx.subtract(db, da)))
+            in_range = normal[0] <= a_pow <= normal[1] and normal[0] <= b_pow <= normal[1]
+            if not (a < b and not in_range and normal[0] <= exact <= normal[1]):
+                continue
+            value = gen_log_mean_pow(OrderedInterval(a, b), p)
+            assert abs(decimal.Decimal(value) - exact) <= exact * decimal.Decimal(4e-16), (a, b, p)
+            checked += 1
+
+
 class TestGenLogMean:
     def test_l1_is_arithmetic(self):
         assert gen_log_mean(OrderedInterval(1, 3), 1.0) == 2.0
