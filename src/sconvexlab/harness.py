@@ -17,8 +17,9 @@ Four suites:
                 the documented sign discrepancy of the printed
                 reciprocal-family bound.
 
-Case i draws everything from sub-seed (seed XOR i), so parallel and serial
-runs would agree and identical configs produce identical reports.
+Case i draws everything from one generator, random.Random((seed << 32) | i),
+so parallel and serial runs would agree, identical configs produce
+identical reports, and no two (seed, case) pairs share a sub-seed.
 
 Report rows are CaseRow named tuples whose fields are the CSV columns
 after "suite", in column order.  One line generator renders the CSV
@@ -154,6 +155,11 @@ def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[st
     )
 
 
+def _case_rng(cfg: SuiteConfig, i: int) -> random.Random:
+    """Case i's one generator; its sub-seed is unique to (seed, i) for i < 2^32."""
+    return random.Random((cfg.seed << 32) | i)
+
+
 def _bound_row(case: int, theorem: str, a: float, b: float, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
     return CaseRow(case, theorem, a, b, s, q, lhs, rhs, rhs - lhs, verdict(lhs, rhs, tol))
 
@@ -171,16 +177,15 @@ def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tol_or(_IDENTITY_TOL)
     rows: list[CaseRow] = []
     for i in range(cfg.cases):
-        f, iv = sample_dconvex_instance(random.Random(cfg.seed ^ i), _GEN)
+        f, iv = sample_dconvex_instance(_case_rng(cfg, i), _GEN)
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
         rows.append(_match_row(i, "identity", iv, None, None, lhs, rhs, tol))
     return _finish("identity", cfg, rows, [], t0)
 
 
-def _convex_f_instance(seed: int) -> tuple[FuncHandle, OrderedInterval]:
+def _convex_f_instance(rng: random.Random) -> tuple[FuncHandle, OrderedInterval]:
     """f with nondecreasing f' (exponents 0 or in [1,3]), so f is convex."""
-    rng = random.Random(seed)
     terms = []
     for _ in range(rng.randint(1, 3)):
         exponent = 0.0 if rng.random() < 0.3 else rng.uniform(1.0, 3.0)
@@ -189,18 +194,16 @@ def _convex_f_instance(seed: int) -> tuple[FuncHandle, OrderedInterval]:
     return handle_from_power_sum(dps.antiderivative()), sample_interval(rng, _GEN)
 
 
-def _concave_power_instance(seed: int, q: float) -> tuple[FuncHandle, OrderedInterval]:
+def _concave_power_instance(rng: random.Random, q: float) -> tuple[FuncHandle, OrderedInterval]:
     """f' = c x^m with 0 < m q <= 1, so |f'|^q is concave."""
-    rng = random.Random(seed)
     m = rng.uniform(0.05, 1.0) / q
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, m)]).antiderivative()
     return handle_from_power_sum(f), sample_interval(rng, _GEN)
 
 
-def _s_power_instance(seed: int, s: float) -> tuple[FuncHandle, float, float]:
+def _s_power_instance(rng: random.Random, s: float) -> tuple[FuncHandle, float, float]:
     """f = c x^sigma with sigma >= s (hence s-convex), on [u, v] with u >= 0."""
-    rng = random.Random(seed)
     sigma = rng.uniform(max(s, 0.3), 1.0)
     c = rng.uniform(0.2, 2.0)
     f = handle_from_power_sum(PowerSum([(c, sigma)]))
@@ -212,32 +215,31 @@ def _s_power_instance(seed: int, s: float) -> tuple[FuncHandle, float, float]:
     return f, u, v
 
 
-def _sconvex_term_instance(seed: int, s: float) -> tuple[FuncHandle, OrderedInterval]:
+def _sconvex_term_instance(rng: random.Random, s: float) -> tuple[FuncHandle, OrderedInterval]:
     """f' = c x^s: s-convex but not convex for s < 1."""
-    rng = random.Random(seed)
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, s)]).antiderivative()
     return handle_from_power_sum(f), sample_interval(rng, _GEN)
 
 
-def _draw_instance(th: Theorem, i: int, rng: random.Random, inst_seed: int, s: float,
+def _draw_instance(th: Theorem, i: int, rng: random.Random, s: float,
                    q: float) -> tuple[FuncHandle, float, float, float]:
-    """Case i's instance, as (f, a, b, s), from the family that meets the
-    theorem's hypothesis."""
+    """Case i's instance, as (f, a, b, s), drawn with the case's rng from the
+    family that meets the theorem's hypothesis."""
     if th.hypothesis == "f" and th.takes_s:
         if i == 0:
             # Sharp instance: the endpoint-average constant is attained.
             return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
-        f, u, v = _s_power_instance(inst_seed, s)
+        f, u, v = _s_power_instance(rng, s)
         return f, u, v, s
     if th.concave:
-        f, iv = _concave_power_instance(inst_seed, q)
+        f, iv = _concave_power_instance(rng, q)
     elif th.hypothesis == "f":
-        f, iv = _convex_f_instance(inst_seed)
+        f, iv = _convex_f_instance(rng)
     elif th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
-        f, iv = _sconvex_term_instance(inst_seed, s)
+        f, iv = _sconvex_term_instance(rng, s)
     else:
-        f, iv = sample_dconvex_instance(random.Random(inst_seed), _GEN)
+        f, iv = sample_dconvex_instance(rng, _GEN)
     return f, iv.a, iv.b, s
 
 
@@ -256,11 +258,10 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
     rows: list[CaseRow] = []
 
     for i in range(cfg.cases):
-        rng = random.Random(cfg.seed ^ i)
+        rng = _case_rng(cfg, i)
         s = rng.choice(_S_GRID)
         q = rng.choice(_Q_GRID)
-        inst_seed = rng.getrandbits(32)
-        f, a, b, s = _draw_instance(th, i, rng, inst_seed, s, q)
+        f, a, b, s = _draw_instance(th, i, rng, s, q)
         s_row = s if th.takes_s else None
         q_row = q if th.uses_q else None
         s_cert = s if th.takes_s else 1.0
@@ -279,7 +280,7 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     tol = cfg.tol_or(_REDUCTION_TOL)
     rows: list[CaseRow] = []
     for i in range(cfg.cases):
-        rng = random.Random(cfg.seed ^ i)
+        rng = _case_rng(cfg, i)
         iv = sample_interval(rng, _GEN)
         df_a = rng.uniform(0.0, 3.0)
         df_b = rng.uniform(0.0, 3.0)
@@ -334,7 +335,7 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     negation_hits = 0
     printed_negative = 0
     for i in range(cfg.cases):
-        rng = random.Random(cfg.seed ^ i)
+        rng = _case_rng(cfg, i)
         iv = sample_interval(rng, _GEN)
         q = rng.choice(_Q_GRID)
 

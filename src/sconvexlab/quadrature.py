@@ -26,7 +26,7 @@ later node is evaluated), and writes each weighted sum as one expression
 whose terms are added in that node order.  Most calls need one panel: a
 first panel that meets the tolerance is returned as it is, and the calls
 that bisect stop after a few panels (the props suite at seed 42 with 200
-cases needs 15, 45, 75 or 105 evaluations in 3,066, 530, 192 and 12 calls),
+cases needs 15, 45, 75 or 105 evaluations in 3,072, 412, 304 and 12 calls),
 so re-summing every panel with fsum after a bisection costs little.
 """
 

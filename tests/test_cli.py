@@ -215,9 +215,9 @@ class TestVerifyCommand:
         assert code == 1
 
     @pytest.mark.parametrize("suite, digest", [
-        ("all", "0c85e09b535e5f53312f2317956f8b552b73b7aff0a9b5da34e97cd8fc05189d"),
-        ("bounds", "f704236c0a1c17f7afe16bca7bc52ec3d33416392326107d32a675ee01e6044e"),
-        ("props", "21785f2b26825db710fbd47180901d86a2005dd31538045f7a0f4fe92e9a7b92"),
+        ("all", "20a2f1dcdfcba37a211a6b8cc6f4b66dbe1b8042d493417c868bc7820e60b450"),
+        ("bounds", "ffd51989734b94b6b2714833f4f7924ede8d6cd1e41f6e6262222f891196fcd4"),
+        ("props", "bac70fc2ada1180f84552433775c294293e60aabfabb5a7b954c3a8e0a8e5a0e"),
     ])
     def test_golden_report_digest(self, tmp_path, capsys, suite, digest):
         # Pinned report bytes: a change meant to keep every report as it is
@@ -234,11 +234,11 @@ class TestVerifyCommand:
         # --tol 0 replaces every suite's own tolerance, so statuses move in
         # all four kinds of suite: identity, bounds, reductions and props.
         (["--suite", "all", "--cases", "20", "--seed", "42", "--tol", "0"], 1,
-         "074d0e53b7e0473d98ec95a61d81b48a7264e461da8bc4096d0b16c0338b7b9e"),
+         "cfe9e73d9fbcb08fa391d7175e0f5f01c64f99742054e808a039fa01bbc2e344"),
         # 200 cases per bound suite draw from every instance family,
         # including the s-term swap and the sharp case of the s-power family.
         (["--suite", "bounds", "--cases", "200", "--seed", "7331"], 0,
-         "9bef19374695160f94e6464d66378d267ed418641d27e040198dd7c3452db528"),
+         "f43f3677d1b2742decd8c953a2065eb9637f77c0357eca80e10ae1b89c6f354e"),
     ], ids=["tol-override", "bound-families"])
     def test_golden_report_digest_more(self, tmp_path, capsys, extra, code, digest):
         out = tmp_path / "report.csv"
