@@ -110,6 +110,10 @@ def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> fl
     SE3/SE7/SE8 substitute the x^s derivative magnitudes into the
     endpoint, power-mean and Holder bounds respectively; SE4/SE10/SE9 do
     the same with x^-s.  SE8/SE9 need q > 1, SE7/SE10 accept q >= 1.
+
+    The props suite reads PROPOSITIONS and FAMILY_DF itself, computing a
+    family's |f'| once per case and s; this one-call form is kept as the
+    tests' reference for its rows and for the acceptance checks.
     """
     entry = PROPOSITIONS.get(kind.lower())
     if entry is None:

@@ -218,7 +218,7 @@ class TestVerifyCommand:
         ("all", "20a2f1dcdfcba37a211a6b8cc6f4b66dbe1b8042d493417c868bc7820e60b450"),
         ("bounds", "ffd51989734b94b6b2714833f4f7924ede8d6cd1e41f6e6262222f891196fcd4"),
         ("props", "bac70fc2ada1180f84552433775c294293e60aabfabb5a7b954c3a8e0a8e5a0e"),
-    ])
+    ], ids=["all", "bounds", "props"])
     def test_golden_report_digest(self, tmp_path, capsys, suite, digest):
         # Pinned report bytes: a change meant to keep every report as it is
         # (a speed-up, a refactor) must leave these digests alone.  The props
