@@ -34,8 +34,7 @@ All evaluators are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, EvalError, MissingParam
 from .funcmodel import FuncHandle, as_s
@@ -57,8 +56,7 @@ def check_q(q, bound: str, strict: bool) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated inequality: sides, margin, and the verdict."""
 
     theorem_id: str
@@ -274,8 +272,7 @@ def _bullen_sides(f, a, b, s, q):
     return lhs, 0.5 * (f.value(0.5 * (a + b)) + 0.5 * (f.value(a) + f.value(b)))
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One bound theorem: its hypothesis and two sides.
 
     The theorem assumes its hypothesis function ("f", "|f'|" or "|f'|^q")

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, EvalError, ExponentError
 from .means import OrderedInterval
@@ -48,18 +48,18 @@ def as_s(s) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class PowerSum:
-    """Finite sum of power terms c * x^p, exact on (0, inf)."""
+class PowerSum(namedtuple("PowerSum", "terms")):
+    """Finite sum of power terms c * x^p, exact on (0, inf); terms is a
+    tuple of (c, p) float pairs."""
 
-    terms: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __init__(self, terms):
-        normalized = tuple((float(c), float(p)) for c, p in terms)
-        for c, p in normalized:
+    def __new__(cls, terms):
+        terms = tuple((float(c), float(p)) for c, p in terms)
+        for c, p in terms:
             if not (math.isfinite(c) and math.isfinite(p)):
                 raise DomainError(f"power-sum term ({c}, {p}) is not finite")
-        object.__setattr__(self, "terms", normalized)
+        return tuple.__new__(cls, (terms,))
 
     def __call__(self, x):
         total = 0.0
@@ -112,8 +112,7 @@ def powersum_integral(ps: PowerSum, lo: float, hi: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class FuncHandle:
+class FuncHandle(NamedTuple):
     """A function, its derivative, and optionally exact_integral(lo, hi),
     its definite integral over [lo, hi]."""
 
@@ -126,8 +125,7 @@ def handle_from_power_sum(ps: PowerSum) -> FuncHandle:
     return FuncHandle(value=ps, derivative=ps.derivative(), exact_integral=partial(powersum_integral, ps))
 
 
-@dataclass(frozen=True)
-class CertResult:
+class CertResult(NamedTuple):
     """Outcome of a grid certification run.
 
     When certified is False the counterexample (x, y, t, lhs, rhs) violates
@@ -258,22 +256,18 @@ def check_hypothesis(f: FuncHandle, hypothesis: str, s, q, concave: bool, a: flo
     return "grid" if certify(phi, s, lo, b, concave).certified else None
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(namedtuple("GenConfig", "lo_min hi_max max_terms coeff_min coeff_max min_width")):
     """Sampler settings for certified test instances."""
 
-    lo_min: float = 0.25
-    hi_max: float = 4.0
-    max_terms: int = 3
-    coeff_min: float = 0.05
-    coeff_max: float = 2.0
-    min_width: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.lo_min < self.hi_max:
-            raise DomainError(f"generator bounds require 0 < lo_min < hi_max, got ({self.lo_min}, {self.hi_max})")
-        if self.max_terms < 1:
+    def __new__(cls, lo_min: float = 0.25, hi_max: float = 4.0, max_terms: int = 3,
+                coeff_min: float = 0.05, coeff_max: float = 2.0, min_width: float = 0.05):
+        if not 0.0 < lo_min < hi_max:
+            raise DomainError(f"generator bounds require 0 < lo_min < hi_max, got ({lo_min}, {hi_max})")
+        if max_terms < 1:
             raise DomainError("generator needs max_terms >= 1")
+        return tuple.__new__(cls, (lo_min, hi_max, max_terms, coeff_min, coeff_max, min_width))
 
 
 def sample_interval(rng: random.Random, cfg: GenConfig) -> OrderedInterval:

@@ -42,7 +42,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, SuiteError
@@ -85,19 +85,17 @@ _IDENTITY_TOL = 1e-8
 _REDUCTION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 42
-    cases: int = 100
-    tol: Optional[float] = None
+class SuiteConfig(namedtuple("SuiteConfig", "seed cases tol")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seed < 0:  # random.Random seeds with abs(seed): -1 would replay seed 0's cases
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.cases < 1:
+    def __new__(cls, seed: int = 42, cases: int = 100, tol: Optional[float] = None):
+        if seed < 0:  # random.Random seeds with abs(seed): -1 would replay seed 0's cases
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        if cases < 1:
             raise DomainError("suite needs cases >= 1")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise DomainError(f"tol must be finite and >= 0, got {self.tol}")
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+            raise DomainError(f"tol must be finite and >= 0, got {tol}")
+        return tuple.__new__(cls, (seed, cases, tol))
 
     def tol_or(self, default: float) -> float:
         return default if self.tol is None else self.tol
@@ -119,8 +117,7 @@ class CaseRow(NamedTuple):
     status: str  # ok | warning | violation | skipped
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite_id: str
     seed: int
     cases_run: int

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -17,18 +17,17 @@ _NORMAL_MIN = sys.float_info.min
 _NORMAL_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class OrderedInterval:
+class OrderedInterval(namedtuple("OrderedInterval", "a b")):
     """A pair 0 < a < b, the integration interval of every evaluator."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"interval endpoints must be finite, got ({self.a}, {self.b})")
-        if not 0.0 < self.a < self.b:
-            raise DomainError(f"interval requires 0 < a < b, got ({self.a}, {self.b})")
+    def __new__(cls, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got ({a}, {b})")
+        if not 0.0 < a < b:
+            raise DomainError(f"interval requires 0 < a < b, got ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def width(self) -> float:

@@ -23,8 +23,7 @@ props suite both read the two tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .funcmodel import as_s
@@ -124,8 +123,7 @@ def prop_rhs(kind: str, iv: OrderedInterval, s, q: Optional[float] = None) -> fl
     return bound(df_a, df_b, iv, sv, q)
 
 
-@dataclass(frozen=True)
-class Se4Discrepancy:
+class Se4Discrepancy(NamedTuple):
     """Comparison of the printed reciprocal-family bound with substitution.
 
     The first terms agree; the printed second term is the exact negative of
