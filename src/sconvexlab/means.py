@@ -1,7 +1,9 @@
 """Arithmetic, geometric and generalized logarithmic means on ordered intervals.
 
-All functions here are pure and stateless; they may be called concurrently
-from any number of threads.
+OrderedInterval is a named tuple (a, b) whose __new__ checks 0 < a < b;
+_make and _replace skip that check, so nothing calls them.  All functions
+here are pure and stateless; they may be called concurrently from any
+number of threads.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     powers are normal floats.  When one underflows or overflows, it is
     factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r)) with r = a/b for
     p + 1 > 0.  For p + 1 < 0, a^(p+1) is the larger power and can
-    overflow alone, so the direct formula is evaluated in decimal
-    arithmetic, whose exponent range holds both powers.  An OverflowError
-    is raised if the value is not a finite float either.  Every formula
-    downstream consumes this ratio rather than the mean itself, so exposing
-    it avoids a lossy ^(1/p) -> ^p round trip.  p must be finite and
-    neither 0 nor -1.
+    overflow alone, as b^p can where L_p^p does not for p + 1 > 0; then
+    the direct formula is evaluated in decimal arithmetic, whose exponent
+    range holds both powers.  An OverflowError is raised if the value is
+    not a finite float either.  Every formula downstream consumes this
+    ratio rather than the mean itself, so exposing it avoids a lossy
+    ^(1/p) -> ^p round trip.  p must be finite and neither 0 nor -1.
     """
     if not math.isfinite(p) or p == -1.0 or p == 0.0:
         raise DomainError(f"generalized logarithmic mean undefined for p={p}")
@@ -71,7 +73,14 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         a_pow = b_pow = math.inf
     if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
         return (b_pow - a_pow) / ((p + 1.0) * (b - a))
-    if p + 1.0 < 0.0:
+    value = None
+    if p + 1.0 > 0.0:
+        r = a / b
+        try:
+            value = b ** p * ((1.0 - r ** (p + 1.0)) / ((p + 1.0) * (1.0 - r)))
+        except OverflowError:  # b^p alone: the decimal route below holds it
+            pass
+    if value is None:
         from decimal import Context, Decimal, localcontext  # only this branch needs decimal
 
         # A decimal overflow gives Infinity.  Unary + rounds each endpoint to
@@ -80,9 +89,6 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         with localcontext(Context(traps=[])):
             k, da, db = Decimal(p + 1.0), +Decimal(a), +Decimal(b)
             value = float((db ** k - da ** k) / (k * (db - da)))
-    else:
-        r = a / b
-        value = b ** p * ((1.0 - r ** (p + 1.0)) / ((p + 1.0) * (1.0 - r)))
     if not math.isfinite(value):
         raise OverflowError(f"L_p^p out of range for p={p} on [{a}, {b}]")
     return value

@@ -172,6 +172,12 @@ class TestCommands:
         assert float(lines[2].split()[1]) == pytest.approx(mean_pow, rel=1e-12)
         assert float(lines[3].split()[1]) == pytest.approx(mean, rel=1e-12)
 
+    def test_gen_log_mean_when_b_to_the_p_overflows(self, capsys):
+        # b^p is about 1.9e310, past the float range; L_p^p (40 digits:
+        # 1.325022579370700197e+307) is not.
+        assert dispatch(["means", "--a", "1", "--b", "1.000714", "--p", "1e6"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1.3250225793707e+307", "L_p 1.00070742516028"]
+
     def test_reciprocal_mean_over_a_wide_window(self, capsys):
         # hi / lo = 1e600 is past the float range; the mean is log(b/a)/(b-a).
         assert dispatch(["bound", "--theorem", "bullen", "--f", "1*x^-1", "--a", "1e-300", "--b", "1e300"]) == 0
@@ -302,7 +308,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["defect", "--f", "1*x^400", "--a", "1", "--b", "10"],
-        ["means", "--a", "1", "--b", "1e300", "--p", "3"],
         ["defect", "--f", "1*x^-3", "--a", "1e-120", "--b", "1"],
         ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5", "--q", "1e308"],
     ])
@@ -322,6 +327,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("a, b, p", [
         ("5e-324", "1.624800201446007e+124", "-2.842509883017094"),  # L_p^p about 1.65e471
         ("1e-300", "1", "-2.5"),  # L_p^p about 6.7e449
+        ("1", "1e300", "3"),  # L_p^p about 2.5e899
     ])
     def test_gen_log_mean_out_of_range_is_an_error(self, capsys, a, b, p):
         assert dispatch(["means", "--a", a, "--b", b, "--p", p]) == 2

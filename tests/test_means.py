@@ -141,13 +141,15 @@ class TestGenLogMeanPow:
 
 
 class TestGenLogMeanPastTheFloatRange:
-    """p + 1 < 0 with a power that is not a normal float: a^(p+1) is the
-    larger power and can overflow on its own, and a/b can underflow."""
+    """A power that is not a normal float: for p + 1 < 0, a^(p+1) is the
+    larger power and can overflow on its own, and a/b can underflow; for
+    p + 1 > 0, b^p can overflow where L_p^p does not."""
 
     # 40-digit values of L_p^p and L_p.
     @pytest.mark.parametrize("a, b, p, mean_pow, mean", [
         (1e-300, 1e300, -2.5, 6.6666666666666661e+149, 1.1760790225246736e-60),
         (1e-300, 1e300, -3.0, 4.9999999999999995e+299, 1.2599210498948732e-100),
+        (1.0, 1.000714, 1e6, 1.3250225793707e+307, 1.0007074251602803),
     ])
     def test_values(self, a, b, p, mean_pow, mean):
         iv = OrderedInterval(a, b)
@@ -158,6 +160,7 @@ class TestGenLogMeanPastTheFloatRange:
         (5e-324, 1.624800201446007e+124, -2.842509883017094),  # about 1.65e471
         (1e-300, 1.0, -2.5),  # about 6.7e449
         (0.5, 2.0, -1e20),
+        (1.0, 1e300, 3.0),  # about 2.5e899
     ])
     def test_out_of_range_raises(self, a, b, p):
         with pytest.raises(OverflowError, match="out of range"):
