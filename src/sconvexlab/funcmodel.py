@@ -19,6 +19,9 @@ grid, 33 x 33 x 21 points, and reports the worst violation beyond a small
 floating-point allowance; that check is evidence, not a proof.  The grid
 is a constant so that no caller can coarsen it.
 
+PowerSum, FuncHandle, CertResult and GenConfig are named tuples: read-only
+and compared field by field.  PowerSum and GenConfig check their fields in
+__new__, which _make and _replace skip, so nothing calls those two.
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
 """

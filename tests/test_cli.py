@@ -518,7 +518,8 @@ def test_python_m_entry_point():
 
 
 def test_cli_never_imports_numpy_without_the_grid(tmp_path):
-    """Proved hypotheses leave numpy unloaded; only the grid fallback needs it."""
+    """Proved hypotheses leave numpy unloaded; only the grid fallback needs it.
+    No record is a dataclass, so dataclasses stays unloaded too."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
     script = (
         "import sys\n"
@@ -527,7 +528,8 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
         "argv = ['verify', '--suite', 'all', '--cases', '20', '--seed', '42', '--format', 'csv', '--out', sys.argv[1]]\n"
         "code = dispatch(argv)\n"
         "rule = check_hypothesis(handle_from_power_sum(PowerSum([(1.0, 2.0)])), 'f', 1.0, None, False, 1.0, 3.0)\n"
-        "print('numpy loaded', 'numpy' in sys.modules, 'exit', code, 'rule', rule)\n"
+        "print('numpy loaded', 'numpy' in sys.modules, 'dataclasses loaded', 'dataclasses' in sys.modules,\n"
+        "      'exit', code, 'rule', rule)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "report.csv")],
@@ -537,4 +539,4 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy loaded False exit 0 rule term"
+    assert proc.stdout.splitlines()[-1] == "numpy loaded False dataclasses loaded False exit 0 rule term"
