@@ -59,8 +59,8 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     p + 1 > 0.  For p + 1 < 0, a^(p+1) is the larger power and can
     overflow alone, as b^p can where L_p^p does not for p + 1 > 0; then
     the direct formula is evaluated in decimal arithmetic, whose exponent
-    range holds both powers.  An OverflowError is raised if the value is
-    not a finite float either.  Every formula downstream consumes this
+    range holds both powers.  An OverflowError is raised whenever the value
+    is not a finite float.  Every formula downstream consumes this
     ratio rather than the mean itself, so exposing it avoids a lossy
     ^(1/p) -> ^p round trip.  p must be finite and neither 0 nor -1.
     """
@@ -71,10 +71,11 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         a_pow, b_pow = a ** (p + 1.0), b ** (p + 1.0)
     except OverflowError:
         a_pow = b_pow = math.inf
-    if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
-        return (b_pow - a_pow) / ((p + 1.0) * (b - a))
     value = None
-    if p + 1.0 > 0.0:
+    if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
+        # Finite powers can still give a quotient past the float range.
+        value = (b_pow - a_pow) / ((p + 1.0) * (b - a))
+    elif p + 1.0 > 0.0:
         r = a / b
         try:
             value = b ** p * ((1.0 - r ** (p + 1.0)) / ((p + 1.0) * (1.0 - r)))

@@ -328,6 +328,7 @@ class TestExitCodes:
         ("5e-324", "1.624800201446007e+124", "-2.842509883017094"),  # L_p^p about 1.65e471
         ("1e-300", "1", "-2.5"),  # L_p^p about 6.7e449
         ("1", "1e300", "3"),  # L_p^p about 2.5e899
+        ("1e-200", "1.00000000000001e-200", "-2.5"),  # normal powers, L_p^p about 1e500
     ])
     def test_gen_log_mean_out_of_range_is_an_error(self, capsys, a, b, p):
         assert dispatch(["means", "--a", a, "--b", b, "--p", p]) == 2

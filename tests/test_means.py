@@ -161,6 +161,7 @@ class TestGenLogMeanPastTheFloatRange:
         (1e-300, 1.0, -2.5),  # about 6.7e449
         (0.5, 2.0, -1e20),
         (1.0, 1e300, 3.0),  # about 2.5e899
+        (1e-200, 1.00000000000001e-200, -2.5),  # normal powers, about 1e500
     ])
     def test_out_of_range_raises(self, a, b, p):
         with pytest.raises(OverflowError, match="out of range"):
