@@ -21,10 +21,12 @@ Case i draws everything from one generator, random.Random((seed << 32) | i),
 so parallel and serial runs would agree, identical configs produce
 identical reports, and no two (seed, case) pairs share a sub-seed.
 
-SuiteConfig, SuiteReport and the report rows are named tuples; SuiteConfig
-checks its fields in __new__, which _make and _replace skip, so nothing
-calls those two.  Report rows are CaseRow named tuples whose fields are the
-CSV columns after "suite", in column order.  One line generator renders the CSV
+SuiteConfig and SuiteReport are named tuples; SuiteConfig checks its
+fields in __new__, which _make and _replace skip, so nothing calls those
+two.
+
+Report rows are CaseRow named tuples whose fields are the CSV columns
+after "suite", in column order.  One line generator renders the CSV
 report, for render_csv, for write_report, which streams it to the file,
 and for `verify --format csv`, which streams it to stdout: None as an
 empty field, any other cell as str (a float's repr), and no quoting,
