@@ -34,8 +34,11 @@ float power can overflow to inf without raising), and a failing call
 prints only its error line.
 
 dispatch builds the argparse parser once per process and reuses it;
-build_parser() still returns a fresh one.  numpy is imported only when the
-grid fallback of the hypothesis check runs, never by the CLI itself.
+build_parser() still returns a fresh one.  A known command line is parsed
+once, by its command's own parser; the top-level parser serves only help,
+an empty argv and an unknown command, so an unrecognized-arguments error
+prints the command's usage line.  numpy is imported only when the grid
+fallback of the hypothesis check runs, never by the CLI itself.
 """
 
 from __future__ import annotations
@@ -244,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification laboratory for integral inequalities with s-convex derivative data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's own parser, by name, for dispatch to parse with.
+    parser.commands = sub.choices
 
     p = sub.add_parser("means", help="evaluate means of an interval")
     p.add_argument("--a", type=float, required=True)
@@ -296,8 +301,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
+    parser = _parser()
+    # A known command's arguments go straight to its own parser, so they are
+    # parsed once; the top-level parser serves only help, an empty argv and
+    # an unknown command.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -54,12 +54,14 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     """The p-th power of the generalized logarithmic mean.
 
     Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)) when both
-    powers are normal floats.  When one underflows or overflows, it is
-    factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r)) with r = a/b for
-    p + 1 > 0.  For p + 1 < 0, a^(p+1) is the larger power and can
-    overflow alone, as b^p can where L_p^p does not for p + 1 > 0; then
-    the direct formula is evaluated in decimal arithmetic, whose exponent
-    range holds both powers.  An OverflowError is raised whenever the value
+    powers and the denominator are normal floats.  When a power underflows
+    or overflows, it is factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r))
+    with r = a/b for p + 1 > 0.  For p + 1 < 0, a^(p+1) is the larger
+    power and can overflow alone, as b^p can where L_p^p does not for
+    p + 1 > 0; then, and when the denominator underflows (subnormal
+    endpoints, or a tiny p + 1 times a tiny b - a), the direct formula is
+    evaluated in decimal arithmetic, whose exponent range holds both powers
+    and every subnormal.  An OverflowError is raised whenever the value
     is not a finite float.  Every formula downstream consumes this
     ratio rather than the mean itself, so exposing it avoids a lossy
     ^(1/p) -> ^p round trip.  p must be finite and neither 0 nor -1.
@@ -73,8 +75,11 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         a_pow = b_pow = math.inf
     value = None
     if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
-        # Finite powers can still give a quotient past the float range.
-        value = (b_pow - a_pow) / ((p + 1.0) * (b - a))
+        # Finite powers can still give a quotient past the float range.  A
+        # denominator that is not a normal float is left to the decimal route.
+        den = (p + 1.0) * (b - a)
+        if _NORMAL_MIN <= abs(den):
+            value = (b_pow - a_pow) / den
     elif p + 1.0 > 0.0:
         r = a / b
         try:
@@ -85,9 +90,11 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         from decimal import Context, Decimal, localcontext  # only this branch needs decimal
 
         # A decimal overflow gives Infinity.  Unary + rounds each endpoint to
-        # 28 digits, which makes ** some 100 times faster than on the up to
-        # 767 digits of a float's exact value.
-        with localcontext(Context(traps=[])):
+        # 60 digits, which makes ** many times faster than on the up to 767
+        # digits of a float's exact value.  |p + 1| and log(b/a) are each at
+        # least about 1e-16, so db^k - da^k cancels at most 32 digits and
+        # leaves 28.
+        with localcontext(Context(prec=60, traps=[])):
             k, da, db = Decimal(p + 1.0), +Decimal(a), +Decimal(b)
             value = float((db ** k - da ** k) / (k * (db - da)))
     if not math.isfinite(value):
