@@ -302,9 +302,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     parser = _parser()
-    # A known command's arguments go straight to its own parser, so they are
-    # parsed once; the top-level parser serves only help, an empty argv and
-    # an unknown command.
+    # A known command goes straight to its own parser, so it is parsed once.
     command = parser.commands.get(argv[0]) if argv else None
     try:
         args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])

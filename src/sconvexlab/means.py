@@ -56,15 +56,16 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)) when both
     powers and the denominator are normal floats.  When a power underflows
     or overflows, it is factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r))
-    with r = a/b for p + 1 > 0.  For p + 1 < 0, a^(p+1) is the larger
-    power and can overflow alone, as b^p can where L_p^p does not for
-    p + 1 > 0; then, and when the denominator underflows (subnormal
-    endpoints, or a tiny p + 1 times a tiny b - a), the direct formula is
-    evaluated in decimal arithmetic, whose exponent range holds both powers
-    and every subnormal.  An OverflowError is raised whenever the value
-    is not a finite float.  Every formula downstream consumes this
-    ratio rather than the mean itself, so exposing it avoids a lossy
-    ^(1/p) -> ^p round trip.  p must be finite and neither 0 nor -1.
+    with r = a/b for p + 1 > 0.  The direct formula is evaluated in
+    decimal arithmetic, whose exponent range holds both powers and every
+    subnormal, in the other cases: for p + 1 < 0, where a^(p+1) is the
+    larger power and can overflow alone; where b^p overflows but L_p^p
+    does not for p + 1 > 0; and where the denominator underflows (subnormal
+    endpoints, or a tiny p + 1 times a tiny b - a).  An OverflowError is
+    raised whenever the value is not a finite float.  Every formula
+    downstream consumes this ratio rather than the mean itself, so exposing
+    it avoids a lossy ^(1/p) -> ^p round trip.  p must be finite and
+    neither 0 nor -1.
     """
     if not math.isfinite(p) or p == -1.0 or p == 0.0:
         raise DomainError(f"generalized logarithmic mean undefined for p={p}")

@@ -1,5 +1,6 @@
 """CLI: grammar, command output, exit codes, and report determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sconvexlab
 from sconvexlab import THEOREMS, OrderedInterval, ParseError, PowerSum, SuiteConfig, evaluate_bound, parse_function_dsl
@@ -177,6 +178,12 @@ class TestCommands:
         # 1.325022579370700197e+307) is not.
         assert dispatch(["means", "--a", "1", "--b", "1.000714", "--p", "1e6"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1.3250225793707e+307", "L_p 1.00070742516028"]
+
+    def test_gen_log_mean_on_subnormal_endpoints(self, capsys):
+        # (p + 1)(b - a) underflows to 0; L_p^p (40 digits:
+        # 3.727022219294391997e+161) comes from the decimal route.
+        assert dispatch(["means", "--a", "5e-324", "--b", "1e-323", "--p", "-0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 3.72702221929439e+161", "L_p 4.94065645841247e-324"]
 
     def test_reciprocal_mean_over_a_wide_window(self, capsys):
         # hi / lo = 1e600 is past the float range; the mean is log(b/a)/(b-a).
@@ -444,6 +451,8 @@ class TestParserReuse:
             ["bound", "--theorem", "se99", *BOUND_X2],
             ["means", "--a", "1", "--b", "3", "--p", "2"],
             ["means", "--a", "1", "--b", "3"],
+            ["bound", "--theorem", "se2", *BOUND_X2, "--zz", "1"],
+            ["means", "--a=1", "--b=3", "--p=-0.5"],
             ["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"],
             ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--tol", "1e-30", "--out", verify_out],
             ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--out", verify_out],
@@ -457,7 +466,7 @@ class TestParserReuse:
         fresh = [_outcome(capsys, argv) for argv in calls]
         assert reused == fresh
         # Each usage error (exit 2) is followed by a call that succeeds.
-        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 2, 0, 0, 0, 1, 0, 0, 2, 0, 0]
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 2, 0, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0]
 
     def test_no_value_leaks_between_calls(self, capsys):
         argv = ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5"]
@@ -487,6 +496,87 @@ class TestParserReuse:
         assert "invalid choice: 'nonsense'" in err
 
 
+class TestDirectParse:
+    """A known command's arguments go straight to its own parser: the same
+    outcome as the top-level route, parsed once instead of twice."""
+
+    @staticmethod
+    def _calls(tmp_path):
+        sweep = ["sweep", "--theorem", "se2", *BOUND_X2, "--s-grid", "0.5:1:0.5", "--out", str(tmp_path / "s.csv")]
+        return [
+            # A valid call of each command.
+            ["means", "--a", "1", "--b", "3", "--p", "2"],
+            ["defect", "--f", "1*x^0.5", "--a", "1", "--b", "4"],
+            ["bound", "--theorem", "se2", *BOUND_X2, "--s", "0.5"],
+            ["verify", "--suite", "reductions", "--cases", "3", "--seed", "3", "--format", "csv"],
+            sweep,
+            # --opt=value, an abbreviated option, a repeated option.
+            ["bound", "--theorem=se5", *BOUND_X2, "--s=0.5", "--q=2"],
+            ["bound", "--the", "se2", *BOUND_X2, "--s", "0.5"],
+            ["means", "--a", "1", "--a", "2", "--b", "3"],
+            # Negative values, in range and not.
+            ["means", "--a", "1", "--b", "3", "--p", "-2.5"],
+            ["means", "--a", "-1", "--b", "3"],
+            ["bound", "--theorem", "pp", *BOUND_X2, "--q", "-2"],
+            # Help, at the top and per command.
+            ["-h"],
+            ["--help"],
+            ["bound", "-h"],
+            ["sweep", "--help"],
+            # A missing required option, an invalid float or choice.
+            ["defect", "--a", "1", "--b", "4"],
+            ["bound"],
+            ["means", "--a", "x", "--b", "3"],
+            ["bound", "--theorem", "se99", *BOUND_X2],
+            ["verify", "--suite", "bogus"],
+            # An unknown command, an empty argv, an unknown option first.
+            ["nonsense"],
+            [],
+            ["--zz"],
+            # "--" ends the options.
+            ["bound", "--", "--theorem", "se2"],
+            ["means", "--", "--a", "1"],
+        ]
+
+    def test_outcomes_match_the_top_level_route(self, capsys, monkeypatch, tmp_path):
+        calls = self._calls(tmp_path)
+        direct = [_outcome(capsys, argv) for argv in calls]
+        # With no command known, dispatch parses every argv with the
+        # top-level parser, as build_parser().parse_args(argv) does.
+        parser = build_parser()
+        parser.commands = {}
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        top_level = [_outcome(capsys, argv) for argv in calls]
+        assert direct == top_level
+        assert {code for code, _, _ in direct} == {0, 2}
+
+    def test_unrecognized_arguments_print_the_command_usage(self, capsys):
+        assert dispatch(["bound", "--theorem", "se2", *BOUND_X2, "--zz", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(build_parser().commands["bound"].format_usage())
+        assert "sconvexlab bound: error: unrecognized arguments: --zz 1\n" in captured.err
+
+    def test_each_call_parses_once(self, capsys, monkeypatch, tmp_path):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in self._calls(tmp_path)[:5]:
+            parsed.clear()
+            assert dispatch(argv) == 0
+            assert parsed == [f"sconvexlab {argv[0]}"]
+        # Help and an unknown command still go through the top-level parser.
+        for argv, code in ((["--help"], 0), (["nonsense"], 2)):
+            parsed.clear()
+            assert dispatch(argv) == code
+            assert parsed == ["sconvexlab"]
+
+
 Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "ppc", "adk")
 HOLDER_THEOREMS = ("se5", "s2")
 
@@ -502,6 +592,15 @@ def test_bound_exit_code_property(theorem, s, q):
         in_range = q > 1.0 if theorem in HOLDER_THEOREMS else q >= 1.0
         if not (math.isfinite(q) and in_range):
             assert code == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(), b=st.floats(), p=st.none() | st.floats())
+@example(a=5e-324, b=1e-323, p=-0.5)
+def test_means_exit_code_property(a, b, p):
+    """Any a, b and optional p give exit code 0 or 2, never an exception."""
+    argv = ["means", f"--a={a!r}", f"--b={b!r}"] + ([] if p is None else [f"--p={p!r}"])
+    assert dispatch(argv) in (0, 2)
 
 
 def test_python_m_entry_point():

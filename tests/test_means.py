@@ -119,6 +119,16 @@ class TestGenLogMeanPow:
         assume(b >= a * (1.0 + 1e-6))
         assert a <= gen_log_mean_pow(OrderedInterval(a, b), 1.0) <= b
 
+    @pytest.mark.parametrize("a, b, p, mean_pow", [
+        # 40 digits: 3.727022219294391997e+161; b - a is subnormal.
+        (5e-324, 1e-323, -0.5, 3.727022219294392e+161),
+        # 40 digits: 9.999999888745541559e+299; a tiny p + 1 times b - a.
+        (1e-300, 1e-300 + 2.2250738585072014e-308, -0.9999999999999999, 9.999999888745541e+299),
+    ])
+    def test_denominator_below_the_normal_range(self, a, b, p, mean_pow):
+        # Both powers are normal floats, but (p + 1)(b - a) underflows to 0.
+        assert gen_log_mean_pow(OrderedInterval(a, b), p) == pytest.approx(mean_pow, rel=1e-15)
+
     def test_p1_matches_arithmetic_on_random(self):
         rng = random.Random(6)
         for _ in range(300):
