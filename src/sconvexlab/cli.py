@@ -38,13 +38,14 @@ build_parser() still returns a fresh one.  A known command line is parsed
 once, by its command's own parser; the top-level parser serves only help,
 an empty argv and an unknown command, so an unrecognized-arguments error
 prints the command's usage line.  numpy is imported only when the grid
-fallback of the hypothesis check runs, never by the CLI itself.
+fallback of the hypothesis check runs, never by the CLI itself.  sweep
+evaluates a theorem that takes no s once and repeats its line at every
+grid point; no report is written through csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import re
@@ -57,6 +58,7 @@ from .harness import (
     SuiteConfig,
     SuiteReport,
     _csv_lines,
+    _text,
     render_json,
     run_bound_suite,
     run_identity_suite,
@@ -219,24 +221,25 @@ def _cmd_sweep(args) -> int:
     f = _handle_from_expr(args.f)
     iv = OrderedInterval(args.a, args.b)
     s_values = _parse_grid(args.s_grid)
-
-    rows = []
-    violations = 0
-    for s in s_values:
-        report = evaluate_bound(args.theorem, f, iv, s=s, q=args.q)
-        if not report.holds:
-            violations += 1
-        rows.append(report)
+    if THEOREMS[args.theorem].takes_s:
+        rows = [evaluate_bound(args.theorem, f, iv, s=s, q=args.q) for s in s_values]
+    else:
+        # The report does not depend on s: one evaluation serves every point.
+        rows = [evaluate_bound(args.theorem, f, iv, q=args.q)] * len(s_values)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "holds"])
+        fh.write("theorem,a,b,s,q,lhs,rhs,margin,holds\n")
+        above = None
         for r in rows:
-            writer.writerow((r.theorem_id, r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin, "true" if r.holds else "false"))
-    worst = min(r.margin for r in rows)
+            if r is not above:  # a repeated report repeats its line
+                above = r
+                line = (f"{r.theorem_id},{r.a},{r.b},{_text(r.s)},{_text(r.q)},{r.lhs},{r.rhs},{r.margin},"
+                        f"{'true' if r.holds else 'false'}\n")
+            fh.write(line)
+    violations = sum(not r.holds for r in rows)
     print(
         f"sweep {args.theorem}: {len(rows)} points, violations {violations}, "
-        f"worst_margin {_fmt(worst)}, written to {args.out}"
+        f"worst_margin {_fmt(min(r.margin for r in rows))}, written to {args.out}"
     )
     return 0 if violations == 0 else 1
 

@@ -26,14 +26,14 @@ fields in __new__, which _make and _replace skip, so nothing calls those
 two.
 
 Report rows are CaseRow named tuples whose fields are the CSV columns
-after "suite", in column order.  One line generator renders the CSV
-report, for render_csv, for write_report, which streams it to the file,
-and for `verify --format csv`, which streams it to stdout: None as an
-empty field, any other cell as str (a float's repr), and no quoting,
-since no suite id, row id or status holds a comma, a quote or a line
-break.  The columns that repeat within a case (a, b, s, q and lhs)
-format each distinct exact float once per case; rhs and margin are
-formatted once per row.
+after "suite", in column order.  One generator renders the CSV report,
+one string per case, for render_csv, for write_report, which streams it
+to the file, and for `verify --format csv`, which streams it to stdout:
+None as an empty field, any other cell as str (a float's repr), and no
+quoting, since no suite id, row id or status holds a comma, a quote or a
+line break.  A cell holding the same object as the cell above it reuses
+that cell's text, so the a, b, s, q and lhs a case's rows share are
+formatted once.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -395,55 +395,46 @@ def render_json(reports) -> str:
 CSV_HEADER = ("suite", "case", "theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "status")
 
 
-class _Reprs(dict):
-    """A case's float reprs: a miss formats the float and keeps it."""
-
-    __slots__ = ()
-
-    def __missing__(self, x):
-        text = self[x] = repr(x)
-        return text
-
-
 def _text(x) -> str:
     return "" if x is None else str(x)
 
 
 def _csv_lines(reports):
-    """The CSV report line by line: the header, then (suite_id,) + row.
+    """The CSV report: the header, then each case's lines as one string.
 
     Writes what csv.writer writes for these rows: None as an empty field,
-    every other cell as str (for a float, its repr), and no quoting, since
-    no suite id, row id or status holds a comma, a quote or a line break.
-    "suite,case," is formatted once per case.  A case's rows repeat its a,
-    b, s, q and lhs, so those columns format each distinct float once per
-    case; rhs and margin, which do not repeat, are formatted once per row.
-    Only exact non-zero floats take the memo: -0.0 == 0.0 but their reprs
-    differ, and so do those of 1 and 1.0 or of a float subclass.
+    every other cell as str (for a float, its repr), and no quoting.  A
+    cell holding the same object as the cell above it reuses that cell's
+    text; one object has one str, so no equality of values is relied on.
+    A case ends where the case cell's object changes.
     """
     if isinstance(reports, SuiteReport):
         reports = (reports,)
     yield ",".join(CSV_HEADER) + "\n"
-    reprs = _Reprs()
     for report in reports:
         suite = report.suite_id + ","
-        case = object()  # equal to no case number
-        for case_no, theorem, a, b, s, q, lhs, rhs, margin, status in report.rows:
-            if case_no != case:
-                case = case_no
-                head = suite + _text(case_no) + ","
-                reprs.clear()
-            yield ",".join((
-                head + _text(theorem),
-                reprs[a] if type(a) is float and a else _text(a),
-                reprs[b] if type(b) is float and b else _text(b),
-                reprs[s] if type(s) is float and s else _text(s),
-                reprs[q] if type(q) is float and q else _text(q),
-                reprs[lhs] if type(lhs) is float and lhs else _text(lhs),
-                repr(rhs) if type(rhs) is float else _text(rhs),
-                repr(margin) if type(margin) is float else _text(margin),
-                _text(status) + "\n",
-            ))
+        lines = []
+        above = (object(),) * 10  # is no cell, so the first row formats every cell
+        for row in report.rows:
+            case, theorem, a, b, s, q, lhs, rhs, margin, status = row
+            c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = above
+            if case is not c0 and lines:
+                yield "".join(lines)
+                lines = []
+            t0 = t0 if case is c0 else _text(case)
+            t1 = t1 if theorem is c1 else _text(theorem)
+            t2 = t2 if a is c2 else _text(a)
+            t3 = t3 if b is c3 else _text(b)
+            t4 = t4 if s is c4 else _text(s)
+            t5 = t5 if q is c5 else _text(q)
+            t6 = t6 if lhs is c6 else _text(lhs)
+            t7 = t7 if rhs is c7 else _text(rhs)
+            t8 = t8 if margin is c8 else _text(margin)
+            t9 = t9 if status is c9 else _text(status)
+            lines.append(f"{suite}{t0},{t1},{t2},{t3},{t4},{t5},{t6},{t7},{t8},{t9}\n")
+            above = row
+        if lines:
+            yield "".join(lines)
 
 
 def render_csv(reports) -> str:

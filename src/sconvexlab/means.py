@@ -37,7 +37,10 @@ class OrderedInterval(namedtuple("OrderedInterval", "a b")):
 
 
 def arithmetic_mean(iv: OrderedInterval) -> float:
-    """(a + b) / 2, summed as a/2 + b/2 so that a + b cannot overflow."""
+    """(a + b) / 2, rounded once even when subnormal; a/2 + b/2 when a + b overflows."""
+    total = iv.a + iv.b
+    if total <= _NORMAL_MAX:
+        return total / 2.0
     return 0.5 * iv.a + 0.5 * iv.b
 
 

@@ -1,7 +1,9 @@
 """CLI: grammar, command output, exit codes, and report determinism."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -179,6 +181,14 @@ class TestCommands:
         assert dispatch(["means", "--a", "1", "--b", "1.000714", "--p", "1e6"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1.3250225793707e+307", "L_p 1.00070742516028"]
 
+    def test_arithmetic_mean_of_subnormals(self, capsys):
+        # (a + b) / 2 is 1.5 steps of 5e-324; it rounds to even, 1e-323.
+        # Halving each endpoint first rounds 2.5e-324 down to 0 and gave 5e-324.
+        assert dispatch(["means", "--a", "5e-324", "--b", "1e-323"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "A 9.88131291682493e-324"
+        assert float(lines[0].split()[1]) == 1e-323
+
     def test_gen_log_mean_on_subnormal_endpoints(self, capsys):
         # (p + 1)(b - a) underflows to 0; L_p^p (40 digits:
         # 3.727022219294391997e+161) comes from the decimal route.
@@ -300,6 +310,41 @@ class TestSweepCommand:
         ])
         assert code == 1
         assert out.read_text().splitlines()[1].endswith("false")
+
+    @staticmethod
+    def _csv_writer_reference(theorem, f, iv, grid, q):
+        """The sweep CSV as csv.writer writes it from one report per s."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "holds"])
+        holds = True
+        for s in _parse_grid(grid):
+            r = evaluate_bound(theorem, f, iv, s=s, q=q)
+            holds = holds and r.holds
+            writer.writerow((r.theorem_id, r.a, r.b, r.s, r.q, r.lhs, r.rhs, r.margin, "true" if r.holds else "false"))
+        return buf.getvalue(), 0 if holds else 1
+
+    @pytest.mark.parametrize("grid", ["0.05:1.0:0.05", "0.5:0.5:0.1"])
+    @pytest.mark.parametrize("theorem", sorted(THEOREMS))
+    def test_bytes_match_csv_writer(self, tmp_path, capsys, theorem, grid):
+        expr, a, b, q = "1*x^2 + 0.5*x^0.5 + -0.25*x^-1", "0.75", "2.5", "2.5"
+        out = tmp_path / "sweep.csv"
+        code = dispatch(["sweep", "--theorem", theorem, "--f", expr, "--a", a, "--b", b,
+                         "--s-grid", grid, "--q", q, "--out", str(out)])
+        expected, expected_code = self._csv_writer_reference(
+            theorem, _handle_from_expr(expr), OrderedInterval(float(a), float(b)), grid, float(q))
+        assert (code, out.read_bytes()) == (expected_code, expected.encode("utf-8"))
+
+    @pytest.mark.parametrize("theorem, evaluations", [("s1", 1), ("hh", 1), ("se2", 10), ("hhs", 10)])
+    def test_bound_evaluated_once_unless_it_takes_s(self, tmp_path, capsys, monkeypatch, theorem, evaluations):
+        # A theorem that takes no s gives one report for every grid point.
+        calls = []
+        evaluate = cli.evaluate_bound
+        monkeypatch.setattr(cli, "evaluate_bound", lambda *args, **kw: calls.append(kw) or evaluate(*args, **kw))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--theorem", theorem, *BOUND_X2, "--s-grid", "0.1:1:0.1", "--out", str(out)]) == 0
+        assert len(calls) == evaluations
+        assert len(out.read_text().splitlines()) == 1 + 10
 
 
 class TestExitCodes:
@@ -615,6 +660,21 @@ def test_python_m_entry_point():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[0] == "A 2"
+
+
+def test_cli_import_loads_neither_csv_nor_dataclasses():
+    """The reports are formatted without csv, and no record is a dataclass."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
+    script = "import sys, sconvexlab.cli\nprint(sorted({'csv', 'dataclasses'} & set(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_never_imports_numpy_without_the_grid(tmp_path):

@@ -398,6 +398,54 @@ class TestCsvRenderer:
     def test_generated_reports_match_csv_writer(self, tmp_path, all_suites):
         self._assert_matches_csv_writer(tmp_path, all_suites)
 
+    # The renderer reuses a cell's text when the cell above holds the same
+    # object; each of these must still give csv.writer's bytes.
+    _X = 0.1 + 0.2
+    _Y, _Y2 = float("2.5"), float("2.5")
+    IDENTITY_EDGES = {
+        "shared": [
+            CaseRow(0, "t1", _X, _X, _X, _X, _X, _X, _X, "ok"),
+            CaseRow(0, "t1", _X, _X, _X, _X, _X, _X, _X, "ok"),
+            CaseRow(0, "t2", _X, 1.5, _X, None, _X, 2.5, _X, "warning"),
+        ],
+        "equal_distinct": [
+            CaseRow(0, "t1", _Y, _Y, _Y, _Y, _Y, _Y, _Y, "ok"),
+            CaseRow(0, "t1", _Y2, _Y2, _Y2, _Y2, _Y2, _Y2, _Y2, "ok"),
+            CaseRow(0, "t1", np.float64(2.5), _StrFloat(2.5), 2.5, 2.5, _StrFloat(2.5), 2.5, _Y, "ok"),
+        ],
+        "signed_zero": [
+            CaseRow(0, "t1", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "ok"),
+            CaseRow(0, "t1", -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, "ok"),
+            CaseRow(0, "t1", 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, "ok"),
+        ],
+        "none_after_float": [
+            CaseRow(0, "t1", 1.5, 2.5, 0.5, 2.0, 0.25, 0.75, 0.5, "ok"),
+            CaseRow(0, "t1", 1.5, 2.5, None, None, None, None, None, "skipped"),
+            CaseRow(0, "t1", 1.5, 2.5, 0.5, 2.0, 0.25, 0.75, 0.5, "ok"),
+        ],
+        "case_returns": [
+            CaseRow(0, "t1", 1.5, 2.5, 0.5, None, 0.25, 0.75, 0.5, "ok"),
+            CaseRow(1, "t1", 1.5, 2.5, 0.5, None, 0.25, 0.75, 0.5, "ok"),
+            CaseRow(0, "t1", 1.5, 2.5, 0.5, None, 0.25, 0.75, 0.5, "ok"),
+        ],
+    }
+
+    def test_equal_floats_are_distinct_objects(self):
+        assert self._Y == self._Y2 and self._Y is not self._Y2
+
+    @pytest.mark.parametrize("edge", sorted(IDENTITY_EDGES))
+    def test_identity_edges_match_csv_writer(self, tmp_path, edge):
+        report = _hand_report(edge, self.IDENTITY_EDGES[edge])
+        self._assert_matches_csv_writer(tmp_path, report)
+        self._assert_matches_csv_writer(tmp_path, [report, self.SINGLE, report])
+
+    def test_one_string_per_case(self, all_suites):
+        # The header, then each case's lines as one string.
+        chunks = list(harness._csv_lines(all_suites))
+        assert len(chunks) == 1 + sum(len({row.case for row in r.rows}) for r in all_suites)
+        assert chunks[0] == ",".join(CSV_HEADER) + "\n"
+        assert all(len({line.split(",")[1] for line in chunk.splitlines()}) == 1 for chunk in chunks[1:])
+
     def test_no_field_needs_quoting(self, all_suites):
         # The renderer writes fields unquoted; csv.writer would quote one
         # holding any of these characters.

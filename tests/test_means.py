@@ -60,6 +60,22 @@ class TestArithmeticGeometric:
     @settings(max_examples=500, deadline=None)
     @given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
            st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+    @example(5e-324, 1e-323)  # the sum is 3 subnormal steps, so its half is a tie
+    @example(3.4023779616209797e-308, 5.103566942431469e-308)  # a normal a whose half is subnormal
+    @example(1e-200, 1e-120)
+    @example(1e308, 1.7976931348623157e308)  # a + b overflows
+    def test_arithmetic_mean_is_correctly_rounded(self, a, b):
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        # Two doubles and their half sum are exact in 2,000 digits, so
+        # float() rounds the true mean once.
+        with decimal.localcontext(decimal.Context(prec=2000)):
+            exact = float((decimal.Decimal(a) + decimal.Decimal(b)) / 2)
+        assert arithmetic_mean(OrderedInterval(a, b)) == exact
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
     @example(5e-324, 1e-323)
     @example(1e-200, 1e-120)
     @example(1e308, 1.7976931348623157e308)
