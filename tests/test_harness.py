@@ -430,11 +430,9 @@ class TestCsvRenderer:
         ],
     }
 
-    def test_equal_floats_are_distinct_objects(self):
-        assert self._Y == self._Y2 and self._Y is not self._Y2
-
     @pytest.mark.parametrize("edge", sorted(IDENTITY_EDGES))
     def test_identity_edges_match_csv_writer(self, tmp_path, edge):
+        assert self._Y == self._Y2 and self._Y is not self._Y2  # equal_distinct's premise
         report = _hand_report(edge, self.IDENTITY_EDGES[edge])
         self._assert_matches_csv_writer(tmp_path, report)
         self._assert_matches_csv_writer(tmp_path, [report, self.SINGLE, report])
