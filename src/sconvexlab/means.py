@@ -31,10 +31,6 @@ class OrderedInterval(namedtuple("OrderedInterval", "a b")):
             raise DomainError(f"interval requires 0 < a < b, got ({a}, {b})")
         return tuple.__new__(cls, (a, b))
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
 
 def arithmetic_mean(iv: OrderedInterval) -> float:
     """(a + b) / 2, rounded once even when subnormal; a/2 + b/2 when a + b overflows."""
@@ -56,19 +52,16 @@ def geometric_mean(iv: OrderedInterval) -> float:
 def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     """The p-th power of the generalized logarithmic mean.
 
-    Computed directly as (b^(p+1) - a^(p+1)) / ((p+1)(b-a)) when both
-    powers and the denominator are normal floats.  When a power underflows
-    or overflows, it is factored as b^p (1 - r^(p+1)) / ((p+1)(1 - r))
-    with r = a/b for p + 1 > 0.  The direct formula is evaluated in
-    decimal arithmetic, whose exponent range holds both powers and every
-    subnormal, in the other cases: for p + 1 < 0, where a^(p+1) is the
-    larger power and can overflow alone; where b^p overflows but L_p^p
-    does not for p + 1 > 0; and where the denominator underflows (subnormal
-    endpoints, or a tiny p + 1 times a tiny b - a).  An OverflowError is
-    raised whenever the value is not a finite float.  Every formula
-    downstream consumes this ratio rather than the mean itself, so exposing
-    it avoids a lossy ^(1/p) -> ^p round trip.  p must be finite and
-    neither 0 nor -1.
+    Two routes.  The direct quotient (b^(p+1) - a^(p+1)) / ((p+1)(b-a)) in
+    floats, when both powers and the denominator are normal floats.  Every
+    other input (a power that underflows or overflows, which for p + 1 < 0
+    is a^(p+1) alone, or a denominator below the normal range: subnormal
+    endpoints, or a tiny p + 1 times a tiny b - a) takes the same quotient
+    in decimal arithmetic, whose exponent range holds both powers and every
+    subnormal.  An OverflowError is raised whenever the value is not a
+    finite float.  Every formula downstream consumes this ratio rather than
+    the mean itself, so exposing it avoids a lossy ^(1/p) -> ^p round trip.
+    p must be finite and neither 0 nor -1.
     """
     if not math.isfinite(p) or p == -1.0 or p == 0.0:
         raise DomainError(f"generalized logarithmic mean undefined for p={p}")
@@ -77,20 +70,10 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
         a_pow, b_pow = a ** (p + 1.0), b ** (p + 1.0)
     except OverflowError:
         a_pow = b_pow = math.inf
-    value = None
-    if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX:
-        # Finite powers can still give a quotient past the float range.  A
-        # denominator that is not a normal float is left to the decimal route.
-        den = (p + 1.0) * (b - a)
-        if _NORMAL_MIN <= abs(den):
-            value = (b_pow - a_pow) / den
-    elif p + 1.0 > 0.0:
-        r = a / b
-        try:
-            value = b ** p * ((1.0 - r ** (p + 1.0)) / ((p + 1.0) * (1.0 - r)))
-        except OverflowError:  # b^p alone: the decimal route below holds it
-            pass
-    if value is None:
+    den = (p + 1.0) * (b - a)
+    if _NORMAL_MIN <= a_pow <= _NORMAL_MAX and _NORMAL_MIN <= b_pow <= _NORMAL_MAX and _NORMAL_MIN <= abs(den):
+        value = (b_pow - a_pow) / den
+    else:
         from decimal import Context, Decimal, localcontext  # only this branch needs decimal
 
         # A decimal overflow gives Infinity.  Unary + rounds each endpoint to
@@ -109,7 +92,11 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
 def gen_log_mean(iv: OrderedInterval, p: float) -> float:
     """The generalized logarithmic mean L_p; lies strictly between a and b.
 
-    Raises DomainError when L_p^p rounds to 0 and p < 0 (a one-ulp
+    Known exceptions (ROADMAP item 2), where the float value reaches an
+    endpoint or passes it: a tiny |p| (a = 1, b = 3, p = 1e-300 gives 1),
+    and the float root ^(1/p) or the direct quotient on an interval with
+    b/a - 1 near or below sqrt(eps) (a = 1, b = 1.0000000001, p = 1 gives
+    1).  Raises DomainError when L_p^p rounds to 0 and p < 0 (a one-ulp
     interval can do this), since 0 has no negative power.
     """
     value = gen_log_mean_pow(iv, p)

@@ -158,6 +158,7 @@ class TestCommands:
     @pytest.mark.parametrize("a, b, mean_l", [
         ("1e-300", "1e-299", "5.5e-300"),  # a^2 and b^2 underflow
         ("1e150", "1e160", "5.0000000005e+159"),  # b^2 overflows
+        ("1e-300", "1.0000001e-300", "1.00000005e-300"),  # a^2 and b^2 underflow, b/a - 1 = 1e-7
     ])
     def test_gen_log_mean_extreme_magnitudes(self, capsys, a, b, mean_l):
         assert dispatch(["means", "--a", a, "--b", b, "--p", "1"]) == 0
@@ -180,6 +181,15 @@ class TestCommands:
         # 1.325022579370700197e+307) is not.
         assert dispatch(["means", "--a", "1", "--b", "1.000714", "--p", "1e6"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1.3250225793707e+307", "L_p 1.00070742516028"]
+
+    def test_gen_log_mean_on_a_narrow_interval_whose_powers_underflow(self, capsys):
+        # a^(p+1) and b^(p+1) underflow and b/a - 1 is about 1.2e-12.  The
+        # 60-digit quotient at k = p + 1 is 3.711520941576781e-78.
+        a, b = "1.571586451651872e-233", "1.571586451653735e-233"
+        assert dispatch(["means", "--a", a, "--b", b, "--p", "0.33259978606580837"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == ["L_p^p 3.71152094157678e-78", "L_p 1.57158645165298e-233"]
+        assert float(a) <= float(lines[3].split()[1]) <= float(b)
 
     def test_arithmetic_mean_of_subnormals(self, capsys):
         # (a + b) / 2 is 1.5 steps of 5e-324; it rounds to even, 1e-323.

@@ -85,6 +85,25 @@ class TestBoundSuites:
         with pytest.raises(DomainError):
             run_bound_suite(CFG, "SE9000")
 
+    @pytest.mark.parametrize("theorem", THEOREMS, ids=str.upper)
+    def test_a_weakened_bound_fails(self, monkeypatch, theorem):
+        """Each suite can fail: its right side scaled by 1 - eps gives a
+        violation at seed 42 over 200 cases.  eps = 0.01 for nine theorems.
+        da, pp, ppc and adk need eps = 0.75: their largest lhs/rhs on these
+        cases is 0.66, 0.51, 0.33 and 0.27, so these four suites would pass
+        a bound 1.5 to 3.7 times too weak."""
+        cfg = SuiteConfig(seed=42, cases=200)
+        eps = 0.75 if theorem in ("da", "pp", "ppc", "adk") else 0.01
+        th = THEOREMS[theorem]
+
+        def scaled(f, a, b, s, q):
+            lhs, rhs = th.sides(f, a, b, s, q)
+            return lhs, rhs * (1.0 - eps)
+
+        assert run_bound_suite(cfg, theorem).violations == ()
+        monkeypatch.setitem(THEOREMS, theorem, th._replace(sides=scaled))
+        assert len(run_bound_suite(cfg, theorem).violations) >= 1
+
     def test_hhs_sharp_case_leads(self):
         report = run_bound_suite(SuiteConfig(seed=3, cases=5), "HHS")
         first = report.rows[0]

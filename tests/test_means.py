@@ -169,7 +169,8 @@ class TestGenLogMeanPow:
 class TestGenLogMeanPastTheFloatRange:
     """A power that is not a normal float: for p + 1 < 0, a^(p+1) is the
     larger power and can overflow on its own, and a/b can underflow; for
-    p + 1 > 0, b^p can overflow where L_p^p does not."""
+    p + 1 > 0, a^(p+1) can underflow, and b^p can overflow where L_p^p
+    does not."""
 
     # 40-digit values of L_p^p and L_p.
     @pytest.mark.parametrize("a, b, p, mean_pow, mean", [
@@ -195,19 +196,29 @@ class TestGenLogMeanPastTheFloatRange:
 
     def test_matches_a_high_precision_reference(self):
         """Within 4e-16 of (e^(k ln b) - e^(k ln a)) / (k (b - a)), k = p + 1,
-        at 60 digits, wherever a^k or b^k is not a normal float."""
+        at 60 digits, wherever a^k or b^k is not a normal float.  Every
+        other draw takes p + 1 > 0 on b = a (1 + 10^v), from 1e-12 to 100."""
         ctx = decimal.Context(prec=60)
         normal = (decimal.Decimal(2.2250738585072014e-308), decimal.Decimal(1.7976931348623157e308))
         rng = random.Random(29)
-        checked = 0
-        while checked < 100:
-            a, b = sorted(10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
-            p = -1.0 - 10.0 ** rng.uniform(-3.0, 1.0)
-            # Skip, from a float estimate, draws whose powers are both normal
-            # or whose L_p^p (about a^(p+1) / ((-1-p) b)) is not.
-            log_a, log_b = (p + 1.0) * math.log10(a), (p + 1.0) * math.log10(b)
-            if -307.0 < log_b and log_a < 308.0 or not -300.0 < log_a - math.log10(-1.0 - p) - math.log10(b) < 300.0:
-                continue
+        checked = draws = 0
+        while checked < 200:
+            draws += 1
+            if draws % 2:
+                a, b = sorted(10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+                p = -1.0 - 10.0 ** rng.uniform(-3.0, 1.0)
+                # Skip, from a float estimate, draws whose powers are both
+                # normal or whose L_p^p (about a^(p+1) / ((-1-p) b)) is not.
+                log_a, log_b = (p + 1.0) * math.log10(a), (p + 1.0) * math.log10(b)
+                if -307.0 < log_b and log_a < 308.0 or not -300.0 < log_a - math.log10(-1.0 - p) - math.log10(b) < 300.0:
+                    continue
+            else:
+                a = 10.0 ** rng.uniform(-323.0, 308.0)
+                b = a * (1.0 + 10.0 ** rng.uniform(-12.0, 2.0))
+                p = -1.0 + 10.0 ** rng.uniform(-3.0, 1.0)
+                # Skip, from a float estimate, draws whose powers are both normal.
+                if not (a < b < math.inf) or -307.0 < (p + 1.0) * math.log10(a) and (p + 1.0) * math.log10(b) < 308.0:
+                    continue
             k = decimal.Decimal(p + 1.0)
             da, db = ctx.plus(decimal.Decimal(a)), ctx.plus(decimal.Decimal(b))
             a_pow, b_pow = ctx.exp(ctx.multiply(k, ctx.ln(da))), ctx.exp(ctx.multiply(k, ctx.ln(db)))
