@@ -3,9 +3,9 @@ whose derivative magnitude (or a power of it) is s-convex in the second sense.
 
 The package evaluates both sides of each inequality in closed form or by
 adaptive quadrature, proves the convexity hypotheses from the power-sum
-terms (with grid sampling as the fallback when no rule applies), and
-property-tests identities, bounds, reductions and cross-checks over
-seeded random instances.
+terms (a case that no rule proves is skipped), and property-tests
+identities, bounds, reductions and cross-checks over seeded random
+instances.
 """
 
 from .errors import (
@@ -28,11 +28,9 @@ from .means import (
 )
 from .quadrature import QuadResult, integrate
 from .funcmodel import (
-    CertResult,
     FuncHandle,
     GenConfig,
     PowerSum,
-    certify,
     check_hypothesis,
     handle_from_power_sum,
     powersum_integral,

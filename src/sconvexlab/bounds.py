@@ -27,7 +27,7 @@ formula is defined once: one that a single theorem uses lives in that
 theorem's entry (its sides function), and one that several theorems or
 suites share is a named function here.
 
-Hypothesis certification is the caller's duty throughout; see the harness.
+Proving the hypothesis is the caller's duty throughout; see the harness.
 All evaluators are pure.
 """
 
@@ -326,7 +326,7 @@ def evaluate_bound(
     s: Optional[float] = None,
     q: Optional[float] = None,
 ) -> BoundReport:
-    """Evaluate one named inequality on explicit inputs (no certification).
+    """Evaluate one named inequality on explicit inputs (the hypothesis is not checked).
 
     Defect-style theorems report lhs = defect, rhs = bound.  Chain theorems
     (hh, hhs, bullen) report the tighter leg of the chain as (lhs, rhs).

@@ -37,10 +37,9 @@ dispatch builds the argparse parser once per process and reuses it;
 build_parser() still returns a fresh one.  A known command line is parsed
 once, by its command's own parser; the top-level parser serves only help,
 an empty argv and an unknown command, so an unrecognized-arguments error
-prints the command's usage line.  numpy is imported only when the grid
-fallback of the hypothesis check runs, never by the CLI itself.  sweep
-evaluates a theorem that takes no s once and repeats its line at every
-grid point; no report is written through csv.
+prints the command's usage line.  sweep evaluates a theorem that takes
+no s once and repeats its line at every grid point; no report is written
+through csv.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Function representation, s-convexity certification, instance generation.
+"""Function representation, hypothesis proofs, instance generation.
 
 A PowerSum is the exact workhorse: sum of c * x^p terms with term-wise
 derivative and antiderivative, valid on (0, inf).  FuncHandle packages a
@@ -6,21 +6,13 @@ function together with its derivative and, when available, an exact
 definite integral, which is what every inequality evaluator consumes.
 
 check_hypothesis establishes a case's hypothesis before a bound is
-asserted on it: proof first, grid as fallback.  prove_hypothesis proves the
-s-convexity (or concavity) of f, |f'| or |f'|^q on (0, inf) from the
-power-sum terms, comparing exponents exactly, and names the rule it used.
-When no rule applies, certify, the one grid certifier, checks the
-inequality
+asserted on it.  prove_hypothesis proves the s-convexity (or concavity)
+of f, |f'| or |f'|^q on (0, inf) from the power-sum terms, comparing
+exponents exactly, and names the rule it used; a hypothesis that no rule
+proves is not proved, and nothing samples it instead.
 
-    phi(t*x + (1-t)*y) <= t^s * phi(x) + (1-t)^s * phi(y)
-
-(or its reverse with s = 1, for concavity) on one fixed uniform (x, y, t)
-grid, 33 x 33 x 21 points, and reports the worst violation beyond a small
-floating-point allowance; that check is evidence, not a proof.  The grid
-is a constant so that no caller can coarsen it.
-
-PowerSum, FuncHandle, CertResult and GenConfig are named tuples: read-only
-and compared field by field.  PowerSum and GenConfig check their fields in
+PowerSum, FuncHandle and GenConfig are named tuples: read-only and
+compared field by field.  PowerSum and GenConfig check their fields in
 __new__, which _make and _replace skip, so nothing calls those two.
 Everything here is pure and deterministic given (seed, config); handles can
 be shared across threads without interior mutation.
@@ -34,13 +26,8 @@ from collections import namedtuple
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainError, EvalError, ExponentError
+from .errors import DomainError, ExponentError
 from .means import OrderedInterval
-
-CERT_TOL = 1e-10
-# Certification grid: points on the x and y axes (one shared linspace) and on t.
-_CERT_XY = 33
-_CERT_T = 21
 
 
 def as_s(s) -> float:
@@ -128,18 +115,6 @@ def handle_from_power_sum(ps: PowerSum) -> FuncHandle:
     return FuncHandle(value=ps, derivative=ps.derivative(), exact_integral=partial(powersum_integral, ps))
 
 
-class CertResult(NamedTuple):
-    """Outcome of a grid certification run.
-
-    When certified is False the counterexample (x, y, t, lhs, rhs) violates
-    the checked inequality by more than the certifier tolerance.
-    """
-
-    certified: bool
-    counterexample: Optional[tuple[float, float, float, float, float]]
-    samples_checked: int
-
-
 def _cmp_product(p: float, k: float, r: float) -> int:
     """Sign of p*k - r for finite p, r and finite k > 0, computed exactly
     from the floats' integer ratios (the float product p*k can round
@@ -199,68 +174,16 @@ def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Opti
     return None
 
 
-def certify(phi: Callable[[float], float], s, lo: float, hi: float, concave: bool = False) -> CertResult:
-    """Grid check of phi(mix) <= t^s phi(x) + (1-t)^s phi(y), s-convexity in
-    the second sense, or of its reverse when concave (s is then unused and
-    the right side is the chord).
-
-    phi must map an array to an array of the same shape, or to a scalar
-    when it is constant.  Violations smaller than CERT_TOL * (1 + |rhs|)
-    are ignored as floating-point slack.  The witness is (x, y, t,
-    phi(mix), right side).  Raises EvalError if phi is non-finite anywhere
-    on the grid.
-    """
-    s = 1.0 if concave else as_s(s)
-    if not 0.0 < lo < hi:
-        raise DomainError(f"certification window requires 0 < lo < hi, got ({lo}, {hi})")
-    import numpy as np  # only the grid needs numpy; proofs and the CLI do not
-
-    xs = np.linspace(lo, hi, _CERT_XY)
-    ts = np.linspace(0.0, 1.0, _CERT_T)
-
-    # A constant phi may return a scalar: the empty power sum (the derivative
-    # of a constant) returns 0.0 for any input.
-    px = np.broadcast_to(np.asarray(phi(xs), dtype=float), xs.shape)
-    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
-    pmix = np.broadcast_to(np.asarray(phi(mix), dtype=float), mix.shape)
-    if not (np.isfinite(px).all() and np.isfinite(pmix).all()):
-        raise EvalError("function returned a non-finite value on the certification grid")
-
-    rhs = ts[None, None, :] ** s * px[:, None, None] + (1.0 - ts[None, None, :]) ** s * px[None, :, None]
-    excess = (rhs - pmix if concave else pmix - rhs) - CERT_TOL * (1.0 + np.abs(rhs))
-    samples = excess.size
-    if not (excess > 0.0).any():
-        return CertResult(True, None, samples)
-    i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    witness = (float(xs[i]), float(xs[j]), float(ts[k]), float(pmix[i, j, k]), float(rhs[i, j, k]))
-    return CertResult(False, witness, samples)
-
-
-def check_hypothesis(f: FuncHandle, hypothesis: str, s, q, concave: bool, a: float, b: float) -> Optional[str]:
-    """Establish that f, |f'| or |f'|^q (the hypothesis) is s-convex, or
-    concave when concave, for f on [a, b]: proof first, grid as fallback.
-
-    Returns the prove_hypothesis rule for the power sum the hypothesis is
-    about (f.value for "f", else f.derivative) when one applies.  Otherwise
-    the grid certifies phi, which is that sum, |sum| or |sum|^q, on [a, b]
-    (on [1e-3 * b, b] when a = 0): "grid" when it passes, None when not.
-    """
+def check_hypothesis(f: FuncHandle, hypothesis: str, s, q, concave: bool) -> Optional[str]:
+    """The prove_hypothesis rule that proves f, |f'| or |f'|^q (the
+    hypothesis) s-convex, or concave when concave, or None.  The power sum
+    is f.value for "f" and f.derivative otherwise."""
     ps = f.value if hypothesis == "f" else f.derivative
-    rule = prove_hypothesis(ps, hypothesis, s, q, concave)
-    if rule is not None:
-        return rule
-    if hypothesis == "f":
-        phi = ps
-    elif hypothesis == "|f'|":
-        phi = lambda x: abs(ps(x))
-    else:
-        phi = lambda x: abs(ps(x)) ** q
-    lo = a if a > 0.0 else 1e-3 * b
-    return "grid" if certify(phi, s, lo, b, concave).certified else None
+    return prove_hypothesis(ps, hypothesis, s, q, concave)
 
 
 class GenConfig(namedtuple("GenConfig", "lo_min hi_max max_terms coeff_min coeff_max min_width")):
-    """Sampler settings for certified test instances."""
+    """Sampler settings for generated test instances."""
 
     __slots__ = ()
 
@@ -284,7 +207,7 @@ def sample_interval(rng: random.Random, cfg: GenConfig) -> OrderedInterval:
 
 
 def sample_dconvex_instance(rng: random.Random, cfg: GenConfig) -> tuple[FuncHandle, OrderedInterval]:
-    """Draw an instance from the base family, without certifying it.
+    """Draw an instance from the base family, without checking its hypothesis.
 
     f' is a nonnegative combination of power terms with exponents in
     (-1, 0] or [1, 3], hence nonnegative and convex on (0, inf), so |f'|

@@ -1,4 +1,4 @@
-"""Deterministic property-test suites over certified random instances.
+"""Deterministic property-test suites over seeded random instances.
 
 Four suites:
 
@@ -6,10 +6,9 @@ Four suites:
                 (an exact identity, checked to 1e-8);
 * bounds      - one sub-suite per inequality; each case establishes the
                 hypothesis it needs (|f'| or |f'|^q s-convex, concave, or
-                f itself convex) with funcmodel.check_hypothesis before
-                asserting: a proof from the power-sum terms, or the grid
-                certifier when no rule applies.  Cases that fail the grid
-                are skipped and counted;
+                f itself convex) with funcmodel.check_hypothesis, a proof
+                from the power-sum terms, before asserting.  Cases that no
+                rule proves are skipped and counted;
 * reductions  - the s -> 1 and q -> 1 collapses onto the convex-case
                 bounds, checked as relative discrepancies;
 * props       - the mean-expressed proposition defects against quadrature
@@ -245,11 +244,10 @@ def _draw_instance(th: Theorem, i: int, rng: random.Random, s: float,
 
 
 def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
-    """Assert one inequality over certified instances; skip failed hypotheses.
+    """Assert one inequality over generated instances; skip unproved hypotheses.
 
-    Each case passes the theorem's hypothesis to funcmodel.check_hypothesis
-    on its own window, and is skipped when that returns None: no rule
-    proves the hypothesis and the grid does not certify it.
+    Each case passes the theorem's hypothesis to funcmodel.check_hypothesis,
+    and is skipped when that returns None: no rule proves the hypothesis.
     """
     th = THEOREMS.get(theorem.lower())
     if th is None:
@@ -266,7 +264,7 @@ def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
         s_row = s if th.takes_s else None
         q_row = q if th.uses_q else None
         s_cert = s if th.takes_s else 1.0
-        if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave, a, b) is None:
+        if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave) is None:
             rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
             continue
         lhs, rhs = th.sides(f, a, b, s, q)

@@ -76,13 +76,14 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
     else:
         from decimal import Context, Decimal, localcontext  # only this branch needs decimal
 
-        # A decimal overflow gives Infinity.  Unary + rounds each endpoint to
+        # A decimal overflow gives Infinity.  k = p + 1 is added at 60
+        # digits, not rounded to a float.  Unary + rounds each endpoint to
         # 60 digits, which makes ** many times faster than on the up to 767
         # digits of a float's exact value.  |p + 1| and log(b/a) are each at
         # least about 1e-16, so db^k - da^k cancels at most 32 digits and
         # leaves 28.
         with localcontext(Context(prec=60, traps=[])):
-            k, da, db = Decimal(p + 1.0), +Decimal(a), +Decimal(b)
+            k, da, db = Decimal(p) + 1, +Decimal(a), +Decimal(b)
             value = float((db ** k - da ** k) / (k * (db - da)))
     if not math.isfinite(value):
         raise OverflowError(f"L_p^p out of range for p={p} on [{a}, {b}]")

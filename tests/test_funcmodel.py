@@ -1,4 +1,4 @@
-"""Power sums, the grid certifier, and the instance generator."""
+"""Power sums, hypothesis proofs, a reference grid, and the instance generator."""
 
 import math
 import random
@@ -8,47 +8,68 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sconvexlab import (
-    CertResult,
     DomainError,
-    EvalError,
     ExponentError,
     GenConfig,
     OrderedInterval,
     PowerSum,
-    certify,
     check_hypothesis,
     handle_from_power_sum,
     integrate,
     powersum_integral,
     prove_hypothesis,
 )
-from sconvexlab.funcmodel import CERT_TOL, as_s, sample_dconvex_instance
+from sconvexlab.funcmodel import as_s, sample_dconvex_instance
+
+# Slack of the reference grid: violations below _GRID_TOL * (1 + |rhs|) are
+# floating-point noise.
+_GRID_TOL = 1e-10
 
 
 def _certified_instance(seed, s):
-    """Sample an instance from the base family and certify its |f'|."""
+    """Sample an instance from the base family, with the rule that proves
+    its |f'| s-convex."""
     f, iv = sample_dconvex_instance(random.Random(seed), GenConfig())
-    df = f.derivative
-    return f, iv, certify(lambda x: np.abs(df(x)), s, iv.a, iv.b)
+    return f, iv, check_hypothesis(f, "|f'|", s, None, False)
 
 
-def _direct_certify(phi, s, lo, hi, concave):
-    """The certifier's arithmetic written out on its own: the s-convexity
-    check, or the concavity check against the chord."""
+def _direct_certify(phi, s, lo, hi, concave=False):
+    """A reference check of phi(t x + (1-t) y) <= t^s phi(x) + (1-t)^s phi(y),
+    s-convexity in the second sense, or of concavity against the chord when
+    concave (s is then unused), on a uniform 33 x 33 x 21 (x, y, t) grid
+    over [lo, hi].  Returns None when no point violates it by more than the
+    slack, else the worst witness (x, y, t, lhs, rhs).  A sample, not a
+    proof: the tests use it to cross-check the proof rules.  phi must map
+    an array to an array and be finite on the grid."""
+    assert 0.0 < lo < hi and (concave or 0.0 < s <= 1.0)
+    s = 1.0 if concave else s
     xs = np.linspace(lo, hi, 33)
     ts = np.linspace(0.0, 1.0, 21)[None, None, :]
     mix = ts * xs[:, None, None] + (1.0 - ts) * xs[None, :, None]
-    pmix = phi(mix)
-    if concave:
-        rhs = ts * phi(xs)[:, None, None] + (1.0 - ts) * phi(xs)[None, :, None]
-        excess = rhs - pmix - CERT_TOL * (1.0 + np.abs(rhs))
-    else:
-        rhs = ts ** s * phi(xs)[:, None, None] + (1.0 - ts) ** s * phi(xs)[None, :, None]
-        excess = pmix - rhs - CERT_TOL * (1.0 + np.abs(rhs))
+    px, pmix = phi(xs), phi(mix)
+    assert np.isfinite(px).all() and np.isfinite(pmix).all(), "phi is not finite on the grid"
+    rhs = ts ** s * px[:, None, None] + (1.0 - ts) ** s * px[None, :, None]
+    excess = (rhs - pmix if concave else pmix - rhs) - _GRID_TOL * (1.0 + np.abs(rhs))
     if not (excess > 0.0).any():
         return None
     i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
     return (xs[i], xs[j], ts[0, 0, k], pmix[i, j, k], rhs[i, j, k])
+
+
+def _pointwise_worst_excess(phi, s, lo, hi, concave):
+    """The largest excess over _direct_certify's grid, computed one
+    (x, y, t) point at a time in Python floats."""
+    s = 1.0 if concave else s
+    xs = np.linspace(lo, hi, 33).tolist()
+    worst = -math.inf
+    for x in xs:
+        for y in xs:
+            for t in np.linspace(0.0, 1.0, 21).tolist():
+                lhs = float(phi(t * x + (1.0 - t) * y))
+                rhs = t ** s * float(phi(x)) + (1.0 - t) ** s * float(phi(y))
+                excess = (rhs - lhs if concave else lhs - rhs) - _GRID_TOL * (1.0 + abs(rhs))
+                worst = max(worst, excess)
+    return worst
 
 
 class TestPowerSum:
@@ -115,19 +136,17 @@ class TestSParam:
 
 
 class TestCertifier:
+    """The reference grid that the proof rules are cross-checked against
+    must itself pass and fail where the inequality does."""
+
     def test_square_is_convex(self):
-        result = certify(lambda x: x ** 2, 1.0, 1.0, 4.0)
-        assert result.certified
-        assert result.counterexample is None
-        assert result.samples_checked == 33 * 33 * 21
+        assert _direct_certify(lambda x: x ** 2, 1.0, 1.0, 4.0) is None
 
     def test_sqrt_is_half_convex(self):
-        assert certify(lambda x: np.sqrt(x), 0.5, 1.0, 4.0).certified
+        assert _direct_certify(lambda x: np.sqrt(x), 0.5, 1.0, 4.0) is None
 
     def test_negated_square_fails_with_witness(self):
-        result = certify(lambda x: -(x ** 2), 1.0, 1.0, 4.0)
-        assert not result.certified
-        x, y, t, lhs, rhs = result.counterexample
+        x, y, t, lhs, rhs = _direct_certify(lambda x: -(x ** 2), 1.0, 1.0, 4.0)
         # The witness really violates the inequality beyond the allowance.
         assert lhs > rhs + 1e-10 * (1 + abs(rhs))
         assert 1.0 <= x <= 4.0 and 1.0 <= y <= 4.0 and 0.0 <= t <= 1.0
@@ -135,18 +154,19 @@ class TestCertifier:
     def test_nonpositive_function_fails_for_fractional_s(self):
         # x = y rows force phi(x) <= (t^s + (1-t)^s) phi(x), impossible for
         # strictly negative values once s < 1.
-        assert not certify(lambda x: -1.0 - 0.0 * x, 0.5, 1.0, 4.0).certified
+        assert _direct_certify(lambda x: -1.0 - 0.0 * x, 0.5, 1.0, 4.0) is not None
 
     def test_non_finite_raises(self):
+        # A NaN compares false, so it must not count as a pass.
         with np.errstate(invalid="ignore"):
-            with pytest.raises(EvalError):
-                certify(lambda x: np.log(x - 2.0), 1.0, 1.0, 4.0)
+            with pytest.raises(AssertionError, match="not finite"):
+                _direct_certify(lambda x: np.log(x - 2.0), 1.0, 1.0, 4.0)
 
     def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            certify(lambda x: x, 1.0, 4.0, 1.0)
-        with pytest.raises(DomainError):
-            certify(lambda x: x, 1.0, 0.0, 4.0)
+        with pytest.raises(AssertionError):
+            _direct_certify(lambda x: x, 1.0, 4.0, 1.0)
+        with pytest.raises(AssertionError):
+            _direct_certify(lambda x: x, 1.0, 0.0, 4.0)
 
     @pytest.mark.parametrize("phi, s, concave", [
         (lambda x: x ** 2, 1.0, False),
@@ -162,50 +182,54 @@ class TestCertifier:
         (lambda x: np.sin(x), 1.0, True),
     ])
     def test_matches_direct_formula(self, phi, s, concave):
-        result = certify(phi, s, 0.5, 3.5, concave)
-        expected = _direct_certify(phi, s, 0.5, 3.5, concave)
-        assert result.certified == (expected is None)
-        assert result.counterexample == expected
+        """The broadcast grid gives the verdict and the worst excess of the
+        inequality evaluated one point at a time."""
+        witness = _direct_certify(phi, s, 0.5, 3.5, concave)
+        worst = _pointwise_worst_excess(phi, s, 0.5, 3.5, concave)
+        assert (witness is None) == (worst <= 0.0)
+        if witness is not None:
+            _, _, _, lhs, rhs = witness
+            excess = (rhs - lhs if concave else lhs - rhs) - _GRID_TOL * (1.0 + abs(rhs))
+            assert excess == pytest.approx(worst, rel=1e-9)
 
     def test_concavity(self):
-        assert certify(lambda x: np.sqrt(x), 1.0, 1.0, 4.0, concave=True).certified
-        result = certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True)
-        assert not result.certified and result.counterexample is not None
+        assert _direct_certify(lambda x: np.sqrt(x), 1.0, 1.0, 4.0, concave=True) is None
+        assert _direct_certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True) is not None
 
     def test_concavity_ignores_s(self):
         # The concavity check compares with the chord whatever s is given,
         # and does not validate it.
-        chord = certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True)
+        chord = _direct_certify(lambda x: x ** 2, 1.0, 1.0, 4.0, concave=True)
         for s in (0.25, 7.0, None):
-            assert certify(lambda x: x ** 2, s, 1.0, 4.0, concave=True) == chord
-        with pytest.raises(DomainError):
-            certify(lambda x: x ** 2, 7.0, 1.0, 4.0)
+            assert _direct_certify(lambda x: x ** 2, s, 1.0, 4.0, concave=True) == chord
+        with pytest.raises(AssertionError):
+            _direct_certify(lambda x: x ** 2, 7.0, 1.0, 4.0)
 
     def test_convex_implies_s_convex_on_nonnegative_family(self):
-        """t <= t^s on [0,1]: certified convex nonnegative functions stay
-        certified for every smaller s on the same grid."""
+        """t <= t^s on [0,1]: convex nonnegative functions that pass the
+        grid pass it for every smaller s too."""
         rng = random.Random(21)
         for _ in range(10):
             f, iv = sample_dconvex_instance(rng, GenConfig())
             df = f.derivative
-            assert certify(lambda x: np.abs(df(x)), 1.0, iv.a, iv.b).certified
+            assert _direct_certify(lambda x: np.abs(df(x)), 1.0, iv.a, iv.b) is None
             for s in (0.1, 0.4, 0.75):
-                assert certify(lambda x: np.abs(df(x)), s, iv.a, iv.b).certified
+                assert _direct_certify(lambda x: np.abs(df(x)), s, iv.a, iv.b) is None
 
 
 HYPOTHESES = ("f", "|f'|", "|f'|^q")
 
 
 def _grid_certifies(ps, hypothesis, s, q, concave, lo, hi):
-    """The grid certifier on the hypothesis function, built as
-    check_hypothesis builds it."""
+    """The reference grid on the hypothesis function built from ps: ps,
+    |ps| or |ps|^q."""
     if hypothesis == "f":
         phi = ps
     elif hypothesis == "|f'|":
         phi = lambda x: np.abs(ps(x))
     else:
         phi = lambda x: np.abs(ps(x)) ** q
-    return certify(phi, s, lo, hi, concave).certified
+    return _direct_certify(phi, s, lo, hi, concave) is None
 
 
 @st.composite
@@ -291,21 +315,23 @@ class TestProveHypothesis:
 
 
 class TestCheckHypothesis:
-    """Real, unpatched cases: a proof, the grid's pass and its refusal."""
+    """Real, unpatched cases: a proof, or None when no rule proves the
+    hypothesis, whether it holds or not."""
 
-    @pytest.mark.parametrize("terms, hypothesis, s, q, concave, a, b, result", [
-        ([(1.0, 2.0)], "f", 1.0, None, False, 1.0, 3.0, "term"),
-        ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, 1.0, 3.0, "grid"),
-        ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, 0.0, 3.0, "grid"),
-        ([(1.0, 1.5), (2.0, 1.25)], "|f'|^q", 1.0, 2.0, True, 1.0, 3.0, "grid"),
-        ([(-1.0, 2.0)], "f", 1.0, None, False, 1.0, 3.0, None),
-        # f' is the empty sum, which returns the scalar 0.0 for any input.
-        ([(2.0, 0.0)], "|f'|^q", 1.0, 2.0, True, 1.0, 3.0, "grid"),
-    ], ids=["x^2-term", "x^0.2+1-grid", "x^0.2+1-from-0-grid", "concave-power-grid", "-x^2-refused",
-            "constant-grid"])
-    def test_proves_or_certifies(self, terms, hypothesis, s, q, concave, a, b, result):
+    @pytest.mark.parametrize("terms, hypothesis, s, q, concave, result", [
+        ([(1.0, 2.0)], "f", 1.0, None, False, "term"),
+        # No rule covers an exponent in (0, s) beside a constant, nor the
+        # concavity of the q-th power of a sum.
+        ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, None),
+        ([(1.0, 1.5), (2.0, 1.25)], "|f'|^q", 1.0, 2.0, True, None),
+        ([(-1.0, 2.0)], "f", 1.0, None, False, None),
+        # f' is the empty sum, which no rule covers.
+        ([(2.0, 0.0)], "|f'|^q", 1.0, 2.0, True, None),
+    ], ids=["x^2-term", "x^0.2+1-not-proved", "concave-power-not-proved", "-x^2-refused",
+            "constant-not-proved"])
+    def test_proves_or_certifies(self, terms, hypothesis, s, q, concave, result):
         f = handle_from_power_sum(PowerSum(terms))
-        assert check_hypothesis(f, hypothesis, s, q, concave, a, b) == result
+        assert check_hypothesis(f, hypothesis, s, q, concave) == result
 
 
 class TestGenerator:
@@ -322,8 +348,8 @@ class TestGenerator:
         assert a != b
 
     def test_certificate_is_returned(self):
-        _, _, cert = _certified_instance(5, 0.25)
-        assert isinstance(cert, CertResult) and cert.certified
+        _, _, rule = _certified_instance(5, 0.25)
+        assert rule in ("term", "sum")
 
     def test_linear_derivative_instance(self):
         # f' = x integrates to x^2/2.
@@ -334,17 +360,18 @@ class TestGenerator:
         # f' = 0.5 x^(-1/2) comes from f = sqrt; |f'| is s-convex at s = 1/2.
         dps = PowerSum([(0.5, -0.5)])
         assert dps.antiderivative().terms == ((1.0, 0.5),)
-        assert certify(lambda x: np.abs(dps(x)), 0.5, 0.5, 3.0).certified
+        assert prove_hypothesis(dps, "|f'|", 0.5, None, False) == "term"
 
     def test_hypotheses_hold_across_powers(self):
-        """|f'| and |f'|^q certify as s-convex for q in {1, 1.5, 2, 3}."""
+        """|f'| is proved 0.5-convex, and |f'|^q for q in {1, 1.5, 2, 3}
+        passes the reference grid at s = 0.5."""
         for seed in range(12):
-            f, iv, cert = _certified_instance(seed, 0.5)
-            assert cert.certified
+            f, iv, rule = _certified_instance(seed, 0.5)
+            assert rule is not None
             df = f.derivative
             for q in (1.0, 1.5, 2.0, 3.0):
-                res = certify(lambda x: np.abs(df(x)) ** q, 0.5, iv.a, iv.b)
-                assert res.certified, f"seed {seed}, q {q}: {res.counterexample}"
+                witness = _direct_certify(lambda x: np.abs(df(x)) ** q, 0.5, iv.a, iv.b)
+                assert witness is None, f"seed {seed}, q {q}: {witness}"
 
     def test_exact_integral_agrees_with_quadrature(self):
         for seed in (3, 8, 15):

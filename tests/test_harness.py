@@ -27,16 +27,11 @@ from sconvexlab import (
 )
 from sconvexlab.bounds import DEFAULT_BOUND_TOL
 from sconvexlab.errors import SuiteError
-from sconvexlab.funcmodel import CertResult, FuncHandle, PowerSum, sample_interval
+from sconvexlab.funcmodel import FuncHandle, PowerSum, sample_interval
 from sconvexlab.means_bounds import PROPOSITIONS
 from sconvexlab.harness import CSV_HEADER, CaseRow, SuiteReport, render_csv, render_json, report_to_dict, write_report
 
 CFG = SuiteConfig(seed=42, cases=40)
-
-
-def _proofs_off(monkeypatch):
-    """Send every hypothesis to the grid certifier."""
-    monkeypatch.setattr(funcmodel, "prove_hypothesis", lambda *a, **k: None)
 
 
 def _corrupt_identity_instances(monkeypatch):
@@ -112,9 +107,7 @@ class TestBoundSuites:
         assert abs(first.margin) <= 1e-10
 
     def test_skip_accounting_and_all_skipped_failure(self, monkeypatch):
-        always_fail = CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
-        _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify", lambda *a, **k: always_fail)
+        monkeypatch.setattr(funcmodel, "prove_hypothesis", lambda *a, **k: None)
         with pytest.raises(SuiteError):
             run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
 
@@ -124,16 +117,15 @@ class TestBoundSuites:
         calls = {"i": 0}
 
         def flaky(real):
-            def certify(*args, **kwargs):
+            def prove_hypothesis(*args, **kwargs):
                 calls["i"] += 1
                 if calls["i"] == 1:
-                    return CertResult(False, (1.0, 1.0, 0.5, 1.0, 0.0), 1)
+                    return None
                 return real(*args, **kwargs)
 
-            return certify
+            return prove_hypothesis
 
-        _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify", flaky(funcmodel.certify))
+        monkeypatch.setattr(funcmodel, "prove_hypothesis", flaky(funcmodel.prove_hypothesis))
         for theorem in THEOREMS:
             calls["i"] = 0
             report = run_bound_suite(cfg, theorem)
@@ -145,65 +137,14 @@ class TestBoundSuites:
             assert (skipped.a, skipped.b, skipped.s, skipped.q) == (full.a, full.b, full.s, full.q), theorem
 
 
-class TestGridFallback:
-    @staticmethod
-    def _count_certifier_calls(monkeypatch, calls, proofs=False):
-        def counting(real):
-            def certify(*args, **kwargs):
-                calls["n"] += 1
-                return real(*args, **kwargs)
-
-            return certify
-
-        if not proofs:
-            _proofs_off(monkeypatch)
-        monkeypatch.setattr(funcmodel, "certify", counting(funcmodel.certify))
-
-    def test_verify_certifies_every_case_on_the_grid(self, monkeypatch, tmp_path):
-        calls = {"n": 0}
-        self._count_certifier_calls(monkeypatch, calls)
-        reports = {}
-
-        def recording(cfg, theorem):
-            report = run_bound_suite(cfg, theorem)
-            reports[theorem] = report
-            return report
-
-        monkeypatch.setattr(cli, "run_bound_suite", recording)
-        argv = ["verify", "--suite", "bounds", "--cases", "5", "--seed", "42", "--out", str(tmp_path / "r.json")]
-        assert cli.dispatch(argv) == 0
-        # 13 suites x 5 cases, each certified on its own.
-        assert calls["n"] == 65
-        assert list(reports) == list(THEOREMS)
-        cfg = SuiteConfig(seed=42, cases=5)
-        for theorem, report in reports.items():
-            assert report.rows == run_bound_suite(cfg, theorem).rows, theorem
-
-    def test_proofs_leave_no_grid_call_and_the_same_rows(self, monkeypatch, tmp_path):
-        argv = ["verify", "--suite", "bounds", "--cases", "5", "--seed", "42", "--format", "csv", "--out"]
-        proved, grid = {"n": 0}, {"n": 0}
-        self._count_certifier_calls(monkeypatch, proved, proofs=True)
-        assert cli.dispatch(argv + [str(tmp_path / "proved.csv")]) == 0
-        assert proved["n"] == 0
-        monkeypatch.undo()
-        self._count_certifier_calls(monkeypatch, grid)
-        assert cli.dispatch(argv + [str(tmp_path / "grid.csv")]) == 0
-        assert grid["n"] == 65
-        assert (tmp_path / "proved.csv").read_text() == (tmp_path / "grid.csv").read_text()
-
-    def test_no_generated_case_reaches_the_grid(self, monkeypatch):
-        """Every instance family meets a proof rule by construction, so the
-        grid is only a fallback; a family that sends cases to it fails here."""
-
-        def no_grid(*args, **kwargs):
-            raise AssertionError("a generated case reached the grid certifier")
-
-        monkeypatch.setattr(funcmodel, "certify", no_grid)
+class TestProofCoverage:
+    def test_every_generated_case_is_proved(self):
+        """Every instance family meets a proof rule by construction; a family
+        that draws a case no rule proves shows here as a skip."""
         for seed in (1, 2, 3, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:
                 assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
-
 
     def test_no_bound_suite_integrates_numerically(self, monkeypatch):
         """Every instance family is a power sum, whose integral mean is exact
@@ -227,6 +168,17 @@ class TestReductionSuite:
         names = {r.theorem for r in report.rows}
         assert names == {"se2_s1_vs_s1", "se5_s1_vs_s2", "se6_s1_vs_s3", "se6_q1_vs_se2"}
 
+    def test_a_perturbed_bound_fails(self, monkeypatch):
+        """The suite can fail: bound_s1 scaled by 1 + 1e-10 breaks the
+        se2_s1_vs_s1 collapse in every case at seed 42."""
+        cfg = SuiteConfig(seed=42, cases=20)
+        assert run_reduction_suite(cfg).violations == ()
+        real = harness.bound_s1
+        monkeypatch.setattr(harness, "bound_s1", lambda *args: real(*args) * (1.0 + 1e-10))
+        violations = run_reduction_suite(cfg).violations
+        assert len(violations) == 20
+        assert {(r.case, r.theorem) for r in violations} == {(i, "se2_s1_vs_s1") for i in range(20)}
+
 
 class TestPropSuite:
     def test_clean_with_notes(self):
@@ -236,6 +188,19 @@ class TestPropSuite:
         assert "5/5" in report.notes[0]
         themes = {r.theorem for r in report.rows}
         assert {"prop_power_xcheck", "prop_recip_xcheck", "se3", "se4", "se7", "se8", "se9", "se10"} <= themes
+
+    def test_a_perturbed_lhs_fails(self, monkeypatch):
+        """The suite can fail: prop_power_lhs scaled by 1 + 1e-7 gives 60
+        violations over the 5 cases at seed 42, in the power family's
+        cross-check and its se3 and se7 rows."""
+        cfg = SuiteConfig(seed=42, cases=5)
+        assert run_prop_crosscheck_suite(cfg).violations == ()
+        real = harness.prop_power_lhs
+        monkeypatch.setattr(harness, "prop_power_lhs", lambda *args: real(*args) * (1.0 + 1e-7))
+        violations = run_prop_crosscheck_suite(cfg).violations
+        assert len(violations) == 60
+        assert {r.case for r in violations} == set(range(5))
+        assert {r.theorem for r in violations} == {"prop_power_xcheck", "se3", "se7"}
 
     def test_propositions_call_the_bound_by_name(self, monkeypatch):
         """Replacing means_bounds.bound_se6 moves exactly the se7 and se10

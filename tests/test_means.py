@@ -195,11 +195,28 @@ class TestGenLogMeanPastTheFloatRange:
             gen_log_mean_pow(OrderedInterval(a, b), p)
 
     def test_matches_a_high_precision_reference(self):
-        """Within 4e-16 of (e^(k ln b) - e^(k ln a)) / (k (b - a)), k = p + 1,
-        at 60 digits, wherever a^k or b^k is not a normal float.  Every
-        other draw takes p + 1 > 0 on b = a (1 + 10^v), from 1e-12 to 100."""
+        """Within 4e-16 of (e^(k ln b) - e^(k ln a)) / (k (b - a)), k = p + 1
+        added exactly, at 60 digits, wherever a^k or b^k is not a normal
+        float.  Every other draw takes p + 1 > 0 on b = a (1 + 10^v), from
+        1e-12 to 100.  A last 200 draws take p in (0.05, 0.95) on such
+        intervals with a in (1e-300, 1e-200), where both powers underflow:
+        there |ln L_p^p| is about 500, so a k rounded to a float (an error up
+        to 1.1e-16) moves L_p^p by up to about 6e-14."""
         ctx = decimal.Context(prec=60)
         normal = (decimal.Decimal(2.2250738585072014e-308), decimal.Decimal(1.7976931348623157e308))
+
+        def reference(a, b, p):
+            """L_p^p at 60 digits, and whether both powers are normal floats."""
+            k = ctx.add(decimal.Decimal(p), 1)
+            da, db = ctx.plus(decimal.Decimal(a)), ctx.plus(decimal.Decimal(b))
+            a_pow, b_pow = ctx.exp(ctx.multiply(k, ctx.ln(da))), ctx.exp(ctx.multiply(k, ctx.ln(db)))
+            exact = ctx.divide(ctx.subtract(b_pow, a_pow), ctx.multiply(k, ctx.subtract(db, da)))
+            return exact, normal[0] <= a_pow <= normal[1] and normal[0] <= b_pow <= normal[1]
+
+        def check(a, b, p, exact):
+            value = gen_log_mean_pow(OrderedInterval(a, b), p)
+            assert abs(decimal.Decimal(value) - exact) <= exact * decimal.Decimal(4e-16), (a, b, p)
+
         rng = random.Random(29)
         checked = draws = 0
         while checked < 200:
@@ -219,15 +236,22 @@ class TestGenLogMeanPastTheFloatRange:
                 # Skip, from a float estimate, draws whose powers are both normal.
                 if not (a < b < math.inf) or -307.0 < (p + 1.0) * math.log10(a) and (p + 1.0) * math.log10(b) < 308.0:
                     continue
-            k = decimal.Decimal(p + 1.0)
-            da, db = ctx.plus(decimal.Decimal(a)), ctx.plus(decimal.Decimal(b))
-            a_pow, b_pow = ctx.exp(ctx.multiply(k, ctx.ln(da))), ctx.exp(ctx.multiply(k, ctx.ln(db)))
-            exact = ctx.divide(ctx.subtract(b_pow, a_pow), ctx.multiply(k, ctx.subtract(db, da)))
-            in_range = normal[0] <= a_pow <= normal[1] and normal[0] <= b_pow <= normal[1]
+            exact, in_range = reference(a, b, p)
             if not (a < b and not in_range and normal[0] <= exact <= normal[1]):
                 continue
-            value = gen_log_mean_pow(OrderedInterval(a, b), p)
-            assert abs(decimal.Decimal(value) - exact) <= exact * decimal.Decimal(4e-16), (a, b, p)
+            check(a, b, p, exact)
+            checked += 1
+
+        checked = 0
+        while checked < 200:
+            a = 10.0 ** rng.uniform(-300.0, -200.0)
+            b = a * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
+            p = rng.uniform(0.05, 0.95)
+            if not a < b or b ** (p + 1.0) >= 2.2250738585072014e-308:
+                continue
+            exact, in_range = reference(a, b, p)
+            assert not in_range
+            check(a, b, p, exact)
             checked += 1
 
 

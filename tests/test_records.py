@@ -1,4 +1,4 @@
-"""The ten record types: read-only tuples without a __dict__, compared and
+"""The nine record types: read-only tuples without a __dict__, compared and
 hashed field by field, and validated however they are constructed."""
 
 import math
@@ -7,7 +7,7 @@ import pytest
 
 from sconvexlab import DomainError
 from sconvexlab.bounds import BoundReport, Theorem
-from sconvexlab.funcmodel import CertResult, FuncHandle, GenConfig, PowerSum
+from sconvexlab.funcmodel import FuncHandle, GenConfig, PowerSum
 from sconvexlab.harness import CaseRow, SuiteConfig, SuiteReport
 from sconvexlab.means import OrderedInterval
 from sconvexlab.means_bounds import Se4Discrepancy
@@ -26,7 +26,6 @@ RECORDS = [
     (OrderedInterval, (1.0, 2.0)),
     (PowerSum, ([(1.0, 2.0), (0.5, -0.5)],)),
     (FuncHandle, (_PS, _DPS)),
-    (CertResult, (False, (1.0, 2.0, 0.5, 1.5, 1.4), 9261)),
     (GenConfig, ()),
     (SuiteConfig, (7, 3, 1e-9)),
     (SuiteReport, ("bounds:se2", 7, 1, 0, (_ROW,), (), 0, 0.1, (), 1.5)),
