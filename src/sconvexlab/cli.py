@@ -40,6 +40,13 @@ an empty argv and an unknown command, so an unrecognized-arguments error
 prints the command's usage line.  sweep evaluates a theorem that takes
 no s once and repeats its line at every grid point; no report is written
 through csv.
+
+verify is the one command that runs the suites, so harness (and
+means_bounds, which it imports) is imported on verify's first call: the
+other commands never compile either module.  That call binds the harness
+names verify uses into this module, keeping any already replaced here,
+and reading one of them from outside (cli.write_report, cli.run_bound_suite)
+binds them too, so the object read or replaced is the one verify calls.
 """
 
 from __future__ import annotations
@@ -53,18 +60,6 @@ from typing import Optional
 
 from .errors import EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
-from .harness import (
-    SuiteConfig,
-    SuiteReport,
-    _csv_lines,
-    _text,
-    render_json,
-    run_bound_suite,
-    run_identity_suite,
-    run_prop_crosscheck_suite,
-    run_reduction_suite,
-    write_report,
-)
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
@@ -146,7 +141,38 @@ def _cmd_bound(args) -> int:
     return 0 if report.holds else 1
 
 
+# The harness names verify looks up in this module, bound on first use.
+_HARNESS_NAMES = (
+    "SuiteConfig",
+    "SuiteReport",
+    "_csv_lines",
+    "render_json",
+    "run_bound_suite",
+    "run_identity_suite",
+    "run_prop_crosscheck_suite",
+    "run_reduction_suite",
+    "write_report",
+)
+
+
+def _bind_harness():
+    """Import harness and bind its names here, keeping any already bound."""
+    from . import harness
+
+    namespace = globals()
+    for name in _HARNESS_NAMES:
+        namespace.setdefault(name, getattr(harness, name))
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        _bind_harness()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
+    _bind_harness()  # also called on its own, not only by verify
     reports = []
     if name in ("identity", "all"):
         reports.append(run_identity_suite(cfg))
@@ -160,6 +186,7 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
 
 
 def _cmd_verify(args) -> int:
+    _bind_harness()
     cfg = SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
     reports = _run_suites(args.suite, cfg)
     payload = reports[0] if len(reports) == 1 else reports
@@ -232,7 +259,9 @@ def _cmd_sweep(args) -> int:
         for r in rows:
             if r is not above:  # a repeated report repeats its line
                 above = r
-                line = (f"{r.theorem_id},{r.a},{r.b},{_text(r.s)},{_text(r.q)},{r.lhs},{r.rhs},{r.margin},"
+                s = "" if r.s is None else r.s
+                q = "" if r.q is None else r.q
+                line = (f"{r.theorem_id},{r.a},{r.b},{s},{q},{r.lhs},{r.rhs},{r.margin},"
                         f"{'true' if r.holds else 'false'}\n")
             fh.write(line)
     violations = sum(not r.holds for r in rows)

@@ -136,6 +136,8 @@ def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Opti
     term's effective exponent e is p*q for "|f'|^q" and p otherwise, and
     is compared with 0, s and 1 exactly.  The rules:
 
+    * "zero" (tried before the others): the empty sum.  The zero function is
+      both concave and s-convex.
     * "term": one term with e <= 0 or e >= s.  c*x^e is nonnegative and
       convex when e <= 0 or e >= 1, hence s-convex since t <= t^s on
       [0, 1]; when s <= e <= 1, (u+v)^e <= u^e + v^e and t^e <= t^s.
@@ -157,13 +159,15 @@ def prove_hypothesis(ps: PowerSum, hypothesis: str, s, q, concave: bool) -> Opti
         k = 1.0
     else:
         return None
+    if not (concave or 0.0 < s <= 1.0):
+        return None
+    if not ps.terms:
+        return "zero"
     exponents = [p for _, p in ps.terms]
     single = len(exponents) == 1
     if concave:
         if single and _cmp_product(exponents[0], k, 0.0) >= 0 and _cmp_product(exponents[0], k, 1.0) <= 0:
             return "concave term"
-        return None
-    if not 0.0 < s <= 1.0:
         return None
     if single and (_cmp_product(exponents[0], k, 0.0) <= 0 or _cmp_product(exponents[0], k, s) >= 0):
         return "term"

@@ -689,6 +689,82 @@ def test_cli_import_loads_neither_csv_nor_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def _run_fresh(script, *args):
+    """Run script in a fresh interpreter on this checkout; its last stdout line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+_SUITE_MODULES = "loaded = lambda: [m in sys.modules for m in ('sconvexlab.harness', 'sconvexlab.means_bounds')]\n"
+
+
+def test_only_verify_loads_the_suite_modules(tmp_path):
+    """means, defect, bound and sweep never import harness or means_bounds;
+    verify imports both."""
+    script = (
+        "import sys, sconvexlab.cli as cli\n"
+        + _SUITE_MODULES
+        + "f = ['--f', '1*x^2', '--a', '1', '--b', '3']\n"
+        "cli.dispatch(['means', '--a', '1', '--b', '3', '--p', '2'])\n"
+        "cli.dispatch(['defect', *f])\n"
+        "cli.dispatch(['bound', '--theorem', 'se2', *f, '--s', '0.5'])\n"
+        "cli.dispatch(['sweep', '--theorem', 'se6', *f, '--s-grid', '0.5:1:0.25', '--q', '2', '--out', sys.argv[1]])\n"
+        "before = loaded()\n"
+        "cli.dispatch(['verify', '--suite', 'identity', '--cases', '2', '--out', sys.argv[2]])\n"
+        "print(before, loaded())\n"
+    )
+    last = _run_fresh(script, tmp_path / "sweep.csv", tmp_path / "report.json")
+    assert last == "[False, False] [True, True]"
+
+
+def test_lazy_names_are_the_modules_own():
+    """The ten names sconvexlab re-exports from the suite modules load them
+    on first read and are the modules' own objects; other names still raise
+    AttributeError, in sconvexlab and in sconvexlab.cli."""
+    script = (
+        "import sys, sconvexlab\n"
+        + _SUITE_MODULES
+        + "names = {'harness': ['SuiteConfig', 'SuiteReport', 'run_bound_suite', 'run_identity_suite',\n"
+        "                       'run_prop_crosscheck_suite', 'run_reduction_suite'],\n"
+        "         'means_bounds': ['prop_power_lhs', 'prop_recip_lhs', 'prop_rhs', 'se4_discrepancy']}\n"
+        "before = loaded()\n"
+        "from sconvexlab import SuiteConfig\n"
+        "same = all(getattr(sconvexlab, n) is getattr(sys.modules['sconvexlab.' + m], n)\n"
+        "           for m, ns in names.items() for n in ns)\n"
+        "missing = [hasattr(mod, 'no_such_name') for mod in (sconvexlab, sconvexlab.cli)]\n"
+        "print(before, loaded(), sum(map(len, names.values())), same, missing)\n"
+    )
+    assert _run_fresh(script) == "[False, False] [True, True] 10 True [False, False]"
+
+
+def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):
+    """A cli.write_report or cli.run_bound_suite set before the first verify
+    is kept when verify binds the harness names."""
+    script = (
+        "import os, sys, sconvexlab.cli as cli\n"
+        "from sconvexlab import harness\n"
+        "seen = []\n"
+        "def write_report(payload, path, fmt):\n"
+        "    seen.append('write ' + fmt)\n"
+        "def run_bound_suite(cfg, theorem):\n"
+        "    seen.append(theorem)\n"
+        "    return harness.run_bound_suite(cfg, theorem)\n"
+        "cli.write_report, cli.run_bound_suite = write_report, run_bound_suite\n"
+        "code = cli.dispatch(['verify', '--suite', 'bounds', '--cases', '2', '--format', 'csv', '--out', sys.argv[1]])\n"
+        "print(code, len(seen), seen[-1], cli.write_report is write_report, cli.render_json is harness.render_json,\n"
+        "      os.path.exists(sys.argv[1]))\n"
+    )
+    assert _run_fresh(script, tmp_path / "report.csv") == f"0 {len(THEOREMS) + 1} write csv True True False"
+
+
 def test_cli_never_imports_numpy(tmp_path):
     """No library module needs numpy, so a full verify run and a hypothesis
     check leave it unloaded.  No record is a dataclass, so dataclasses

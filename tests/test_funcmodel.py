@@ -309,6 +309,15 @@ class TestProveHypothesis:
         ([(1.0, 2.0), (0.5, -0.5)], "|f'|^q", 0.5, 0.5, False, None),
         ([(1.0, 0.5), (1.0, 0.25)], "f", 1.0, None, True, None),
         ([(1.0, 2.0)], "f", 1.5, None, False, None),
+        # The empty sum is the zero function: concave and s-convex.
+        ([], "f", 0.5, None, False, "zero"),
+        ([], "f", 0.5, None, True, "zero"),
+        ([], "|f'|", 0.5, None, False, "zero"),
+        ([], "|f'|", 0.5, None, True, "zero"),
+        ([], "|f'|^q", 0.5, 0.5, False, "zero"),
+        ([], "|f'|^q", 0.5, 0.5, True, "zero"),
+        ([], "|f'|^q", 0.5, 2.0, False, "zero"),
+        ([], "|f'|^q", 0.5, 2.0, True, "zero"),
     ])
     def test_rules(self, terms, hypothesis, s, q, concave, rule):
         assert prove_hypothesis(PowerSum(terms), hypothesis, s, q, concave) == rule
@@ -325,10 +334,10 @@ class TestCheckHypothesis:
         ([(1.0, 0.2), (1.0, 0.0)], "f", 0.5, None, False, None),
         ([(1.0, 1.5), (2.0, 1.25)], "|f'|^q", 1.0, 2.0, True, None),
         ([(-1.0, 2.0)], "f", 1.0, None, False, None),
-        # f' is the empty sum, which no rule covers.
-        ([(2.0, 0.0)], "|f'|^q", 1.0, 2.0, True, None),
+        # f' is the empty sum, whose zero |f'|^q is concave.
+        ([(2.0, 0.0)], "|f'|^q", 1.0, 2.0, True, "zero"),
     ], ids=["x^2-term", "x^0.2+1-not-proved", "concave-power-not-proved", "-x^2-refused",
-            "constant-not-proved"])
+            "constant-zero"])
     def test_proves_or_certifies(self, terms, hypothesis, s, q, concave, result):
         f = handle_from_power_sum(PowerSum(terms))
         assert check_hypothesis(f, hypothesis, s, q, concave) == result

@@ -55,6 +55,14 @@ class TestIdentitySuite:
         assert len(report.violations) == CFG.cases
         assert {r.theorem for r in report.violations} == {"identity"}
 
+    @pytest.mark.parametrize("eps, violated", [(1e-7, CFG.cases), (1e-8, 0)])
+    def test_a_perturbed_rhs_fails(self, monkeypatch, eps, violated):
+        """The suite can fail: lemma_identity_rhs scaled by 1 + 1e-7 breaks
+        every case at seed 42, and by 1 + 1e-8 none."""
+        real = harness.lemma_identity_rhs
+        monkeypatch.setattr(harness, "lemma_identity_rhs", lambda *args: real(*args) * (1.0 + eps))
+        assert len(run_identity_suite(CFG).violations) == violated
+
     def test_determinism(self):
         r1 = run_identity_suite(CFG)
         r2 = run_identity_suite(CFG)
