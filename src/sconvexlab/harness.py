@@ -216,7 +216,8 @@ def _s_power_instance(rng: random.Random, s: float) -> tuple[FuncHandle, float, 
 
 
 def _sconvex_term_instance(rng: random.Random, s: float) -> tuple[FuncHandle, OrderedInterval]:
-    """f' = c x^s: s-convex but not convex for s < 1."""
+    """f' = c x^s, drawn only when s * k >= 1 (k = q for "|f'|^q", else 1):
+    c^k x^(s k) is then convex as well as s-convex (ROADMAP item 2)."""
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, s)]).antiderivative()
     return handle_from_power_sum(f), sample_interval(rng, _GEN)

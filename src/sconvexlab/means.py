@@ -93,7 +93,7 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
 def gen_log_mean(iv: OrderedInterval, p: float) -> float:
     """The generalized logarithmic mean L_p; lies strictly between a and b.
 
-    Known exceptions (ROADMAP item 2), where the float value reaches an
+    Known exceptions (ROADMAP item 3), where the float value reaches an
     endpoint or passes it: a tiny |p| (a = 1, b = 3, p = 1e-300 gives 1),
     and the float root ^(1/p) or the direct quotient on an interval with
     b/a - 1 near or below sqrt(eps) (a = 1, b = 1.0000000001, p = 1 gives

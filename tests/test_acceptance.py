@@ -11,10 +11,7 @@ import random
 
 import pytest
 
-from sconvexlab import (
-    OrderedInterval,
-    PowerSum,
-    SuiteConfig,
+from sconvexlab.bounds import (
     bound_s2,
     bound_se2,
     bound_se5,
@@ -22,19 +19,19 @@ from sconvexlab import (
     bullen_type_defect,
     evaluate_bound,
     hadamard_s_triple,
-    handle_from_power_sum,
-    prop_power_lhs,
-    prop_recip_lhs,
-    prop_rhs,
+    trapezoid_defect,
+)
+from sconvexlab.cli import dispatch
+from sconvexlab.funcmodel import FuncHandle, GenConfig, PowerSum, handle_from_power_sum, sample_interval
+from sconvexlab.harness import (
+    SuiteConfig,
     run_bound_suite,
     run_identity_suite,
     run_prop_crosscheck_suite,
     run_reduction_suite,
-    se4_discrepancy,
-    trapezoid_defect,
 )
-from sconvexlab.cli import dispatch
-from sconvexlab.funcmodel import FuncHandle, GenConfig, sample_interval
+from sconvexlab.means import OrderedInterval
+from sconvexlab.means_bounds import prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
 
 
 def _line(criterion: str, ok: bool):

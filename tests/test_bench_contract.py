@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from sconvexlab import PowerSum, SuiteConfig, bounds, cli, funcmodel, harness, means, parse_function_dsl, quadrature
+from sconvexlab import bounds, cli, funcmodel, harness, means, quadrature
+from sconvexlab.cli import parse_function_dsl
+from sconvexlab.funcmodel import PowerSum
+from sconvexlab.harness import SuiteConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -7,15 +7,14 @@ weighted t-integrals evaluated by quadrature, an entirely independent route.
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sconvexlab import (
-    DomainError,
-    MissingParam,
-    OrderedInterval,
-    PowerSum,
+from sconvexlab.bounds import (
+    DEFAULT_BOUND_TOL,
+    THEOREMS,
     bound_s1,
     bound_s2,
     bound_s3,
@@ -26,12 +25,21 @@ from sconvexlab import (
     bullen_type_defect,
     evaluate_bound,
     hadamard_s_triple,
-    handle_from_power_sum,
-    integrate,
     lemma_identity_rhs,
     trapezoid_defect,
+    verdict,
 )
-from sconvexlab.funcmodel import FuncHandle, sample_dconvex_instance, GenConfig
+from sconvexlab.errors import DomainError, MissingParam
+from sconvexlab.funcmodel import (
+    FuncHandle,
+    GenConfig,
+    PowerSum,
+    handle_from_power_sum,
+    powersum_integral,
+    sample_dconvex_instance,
+)
+from sconvexlab.means import OrderedInterval
+from sconvexlab.quadrature import integrate
 
 IV13 = OrderedInterval(1, 3)
 IV14 = OrderedInterval(1, 4)
@@ -336,6 +344,46 @@ class TestDominanceOnCertifiedFamily:
                 for q in (1.5, 2.0, 3.0):
                     assert defect <= bound_se5(df_a, df_b, iv, s, q) + 1e-9
                     assert defect <= bound_se6(df_a, df_b, iv, s, q) + 1e-9
+
+
+def _negated(ps):
+    return PowerSum([(-c, p) for c, p in ps.terms])
+
+
+def _negated_draws():
+    """300 base-family draws, each as (f, -f, iv, s, q).  -f has every
+    coefficient of f, f' and the exact integral negated."""
+    draws = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        f, iv = sample_dconvex_instance(rng, GenConfig())
+        s, q = rng.choice((0.25, 0.5, 0.75, 1.0)), rng.choice((1.5, 2.0, 3.0))
+        neg_f = _negated(f.value)
+        neg = FuncHandle(neg_f, _negated(f.derivative), partial(powersum_integral, neg_f))
+        draws.append((f, neg, iv, s, q))
+    return draws
+
+
+class TestNegatedInstances:
+    """f -> -f leaves |f'| unchanged, so every theorem whose hypothesis is on
+    f' must give the same sides; generated f' are never negative, so only
+    these draws show that each side takes |f'| (ROADMAP item 2)."""
+
+    DERIVATIVE_THEOREMS = ("se2", "se5", "se6", "s1", "s2", "s3", "da", "pp", "ppc", "adk")
+
+    def test_sides_ignore_the_sign_of_f(self):
+        assert sorted(self.DERIVATIVE_THEOREMS) == sorted(t for t, th in THEOREMS.items() if th.hypothesis != "f")
+        for f, neg, iv, s, q in _negated_draws():
+            for t in self.DERIVATIVE_THEOREMS:
+                sides = THEOREMS[t].sides
+                assert [x.hex() for x in sides(neg, iv.a, iv.b, s, q)] == [x.hex() for x in sides(f, iv.a, iv.b, s, q)]
+
+    def test_signed_derivatives_violate_se2(self):
+        """Control: the se2 right side fed the signed f'(a), f'(b) of -f
+        is negative, a violation on every draw."""
+        for _, neg, iv, s, _ in _negated_draws():
+            rhs = bound_se2(neg.derivative(iv.a), neg.derivative(iv.b), iv, s)
+            assert verdict(bullen_type_defect(neg, iv), rhs, DEFAULT_BOUND_TOL) == "violation"
 
 
 class TestEvaluateBound:

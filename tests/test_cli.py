@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -16,11 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sconvexlab
-from sconvexlab import THEOREMS, OrderedInterval, ParseError, PowerSum, SuiteConfig, evaluate_bound, parse_function_dsl
 from sconvexlab import cli
-from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch
-from sconvexlab.errors import LabError, MissingParam
-from sconvexlab.harness import render_csv
+from sconvexlab.bounds import THEOREMS, evaluate_bound
+from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch, parse_function_dsl
+from sconvexlab.errors import LabError, MissingParam, ParseError
+from sconvexlab.funcmodel import PowerSum
+from sconvexlab.harness import SuiteConfig, render_csv
+from sconvexlab.means import OrderedInterval
 
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
@@ -660,6 +664,81 @@ def test_means_exit_code_property(a, b, p):
     assert dispatch(argv) in (0, 2)
 
 
+# Power sums in the function grammar: signed coefficients from 1e-320 to
+# 1e300, and exponents that overflow, underflow or have no antiderivative.
+DSL_SUMS = st.lists(
+    st.tuples(
+        st.sampled_from((1.0, -1.0)), st.floats(1e-320, 1e300),
+        st.sampled_from((-1.0, -2.0, 400.0, 1e300, -1e300)) | st.floats(-4.0, 4.0),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: " + ".join(f"{sign * c!r}*x^{p!r}" for sign, c, p in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(("defect", "bound", "sweep")),
+    theorem=st.sampled_from(sorted(THEOREMS)),
+    f=DSL_SUMS,
+    # Any two floats, or an ordered positive pair often enough to reach the bounds.
+    ab=st.tuples(st.floats(), st.floats())
+    | st.lists(st.floats(1e-300, 1e300) | st.floats(0.25, 4.0), min_size=2, max_size=2, unique=True).map(sorted),
+    s=st.floats() | st.floats(0.0, 1.0),
+    q=st.none() | st.floats() | st.floats(1.0, 10.0),
+    grid=st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0)),
+)
+def test_function_exit_code_property(tmp_path_factory, command, theorem, f, ab, s, q, grid):
+    """Any power sum and any a, b give defect, bound and sweep exit code 0,
+    1 or 2, never an exception; an exit 0 prints no nan or inf."""
+    out_path = str(tmp_path_factory.getbasetemp() / "sweep.csv")
+    argv = [command, f"--f={f}", f"--a={ab[0]!r}", f"--b={ab[1]!r}"]
+    if command != "defect":
+        argv += ["--theorem", theorem] + ([] if q is None else [f"--q={q!r}"])
+    if command == "bound":
+        argv.append(f"--s={s!r}")
+    if command == "sweep":
+        argv += [f"--s-grid={grid[0]!r}:1:{grid[1]!r}", "--out", out_path]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        printed = out.getvalue().replace(out_path, "")
+        assert "nan" not in printed and "inf" not in printed, printed
+
+
+def _readme_cli_examples():
+    """Each command line of README's CLI block, with the values of the
+    `# -> value` lines that follow it."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("# -> "):
+            examples[-1][1].append(line[len("# -> "):])
+        elif line.startswith(("sconvexlab ", "python -m sconvexlab ")):
+            examples.append((shlex.split(line), []))
+    return examples
+
+
+def test_readme_cli_examples(capsys, tmp_path):
+    """Every command in README's CLI block exits 0 and prints each value
+    annotated under it; --out files go to a temporary directory."""
+    examples = _readme_cli_examples()
+    assert len(examples) == 8
+    for words, expected in examples:
+        argv = words[words.index("sconvexlab") + 1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert dispatch(argv) == 0, words
+        printed = capsys.readouterr().out.splitlines()
+        for value in expected:
+            assert value in printed, (words, value)
+
+
 def test_python_m_entry_point():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sconvexlab.__file__)))
     proc = subprocess.run(
@@ -725,24 +804,25 @@ def test_only_verify_loads_the_suite_modules(tmp_path):
     assert last == "[False, False] [True, True]"
 
 
-def test_lazy_names_are_the_modules_own():
-    """The ten names sconvexlab re-exports from the suite modules load them
-    on first read and are the modules' own objects; other names still raise
-    AttributeError, in sconvexlab and in sconvexlab.cli."""
+def test_import_footprint():
+    """The package root re-exports nothing, so importing it loads no
+    submodule, and importing means loads only errors beside it (argparse
+    stays unloaded).  An unknown attribute of sconvexlab.cli still raises
+    AttributeError."""
     script = (
-        "import sys, sconvexlab\n"
-        + _SUITE_MODULES
-        + "names = {'harness': ['SuiteConfig', 'SuiteReport', 'run_bound_suite', 'run_identity_suite',\n"
-        "                       'run_prop_crosscheck_suite', 'run_reduction_suite'],\n"
-        "         'means_bounds': ['prop_power_lhs', 'prop_recip_lhs', 'prop_rhs', 'se4_discrepancy']}\n"
-        "before = loaded()\n"
-        "from sconvexlab import SuiteConfig\n"
-        "same = all(getattr(sconvexlab, n) is getattr(sys.modules['sconvexlab.' + m], n)\n"
-        "           for m, ns in names.items() for n in ns)\n"
-        "missing = [hasattr(mod, 'no_such_name') for mod in (sconvexlab, sconvexlab.cli)]\n"
-        "print(before, loaded(), sum(map(len, names.values())), same, missing)\n"
+        "import sys\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'sconvexlab')\n"
+        "import sconvexlab\n"
+        "root = ours()\n"
+        "import sconvexlab.means\n"
+        "means = ours()\n"
+        "argparse_loaded = 'argparse' in sys.modules\n"
+        "import sconvexlab.cli\n"
+        "print(root, means, argparse_loaded, hasattr(sconvexlab.cli, 'no_such_name'))\n"
     )
-    assert _run_fresh(script) == "[False, False] [True, True] 10 True [False, False]"
+    assert _run_fresh(script) == (
+        "['sconvexlab'] ['sconvexlab', 'sconvexlab.errors', 'sconvexlab.means'] False False"
+    )
 
 
 def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):

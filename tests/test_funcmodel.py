@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvexlab import (
-    DomainError,
-    ExponentError,
+from sconvexlab.errors import DomainError, ExponentError
+from sconvexlab.funcmodel import (
     GenConfig,
-    OrderedInterval,
     PowerSum,
+    as_s,
     check_hypothesis,
     handle_from_power_sum,
-    integrate,
     powersum_integral,
     prove_hypothesis,
+    sample_dconvex_instance,
 )
-from sconvexlab.funcmodel import as_s, sample_dconvex_instance
+from sconvexlab.means import OrderedInterval
+from sconvexlab.quadrature import integrate
 
 # Slack of the reference grid: violations below _GRID_TOL * (1 + |rhs|) are
 # floating-point noise.

@@ -15,21 +15,25 @@ import sconvexlab.funcmodel as funcmodel
 import sconvexlab.harness as harness
 import sconvexlab.means_bounds as means_bounds
 import sconvexlab.quadrature as quadrature
-from sconvexlab import (
-    THEOREMS,
-    DomainError,
-    OrderedInterval,
+from sconvexlab.bounds import DEFAULT_BOUND_TOL, THEOREMS
+from sconvexlab.errors import DomainError, SuiteError
+from sconvexlab.funcmodel import FuncHandle, PowerSum, sample_interval
+from sconvexlab.harness import (
+    CSV_HEADER,
+    CaseRow,
     SuiteConfig,
+    SuiteReport,
+    render_csv,
+    render_json,
+    report_to_dict,
     run_bound_suite,
     run_identity_suite,
     run_prop_crosscheck_suite,
     run_reduction_suite,
+    write_report,
 )
-from sconvexlab.bounds import DEFAULT_BOUND_TOL
-from sconvexlab.errors import SuiteError
-from sconvexlab.funcmodel import FuncHandle, PowerSum, sample_interval
+from sconvexlab.means import OrderedInterval
 from sconvexlab.means_bounds import PROPOSITIONS
-from sconvexlab.harness import CSV_HEADER, CaseRow, SuiteReport, render_csv, render_json, report_to_dict, write_report
 
 CFG = SuiteConfig(seed=42, cases=40)
 

@@ -7,16 +7,16 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sconvexlab import (
-    DomainError,
+from sconvexlab.errors import DomainError
+from sconvexlab.means import (
     OrderedInterval,
     arithmetic_mean,
     gen_log_mean,
     gen_log_mean_pow,
     geometric_mean,
-    integrate,
     power_diff_quotient,
 )
+from sconvexlab.quadrature import integrate
 
 
 class TestOrderedInterval:

@@ -4,21 +4,11 @@ import random
 
 import pytest
 
-from sconvexlab import (
-    DomainError,
-    MissingParam,
-    OrderedInterval,
-    PowerSum,
-    bound_se2,
-    bound_se5,
-    bound_se6,
-    bullen_type_defect,
-    prop_power_lhs,
-    prop_recip_lhs,
-    prop_rhs,
-    se4_discrepancy,
-)
-from sconvexlab.funcmodel import FuncHandle
+from sconvexlab.bounds import bound_se2, bound_se5, bound_se6, bullen_type_defect
+from sconvexlab.errors import DomainError, MissingParam
+from sconvexlab.funcmodel import FuncHandle, PowerSum
+from sconvexlab.means import OrderedInterval
+from sconvexlab.means_bounds import prop_power_lhs, prop_recip_lhs, prop_rhs, se4_discrepancy
 
 IV13 = OrderedInterval(1, 3)
 IV14 = OrderedInterval(1, 4)

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from sconvexlab import DepthExhausted, DomainError, EvalError, OrderedInterval, integrate
+from sconvexlab.errors import DepthExhausted, DomainError, EvalError
 from sconvexlab.funcmodel import PowerSum, powersum_integral
-from sconvexlab.quadrature import _EPS, _WG, _WGK, _XGK, QuadResult, _panel
+from sconvexlab.means import OrderedInterval
+from sconvexlab.quadrature import _EPS, _WG, _WGK, _XGK, QuadResult, _panel, integrate
 
 
 def _reference_panel(f, lo, hi):

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from sconvexlab import DomainError
 from sconvexlab.bounds import BoundReport, Theorem
+from sconvexlab.errors import DomainError
 from sconvexlab.funcmodel import FuncHandle, GenConfig, PowerSum
 from sconvexlab.harness import CaseRow, SuiteConfig, SuiteReport
 from sconvexlab.means import OrderedInterval
