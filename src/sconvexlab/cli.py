@@ -34,12 +34,15 @@ float power can overflow to inf without raising), and a failing call
 prints only its error line.
 
 dispatch builds the argparse parser once per process and reuses it;
-build_parser() still returns a fresh one.  A known command line is parsed
-once, by its command's own parser; the top-level parser serves only help,
-an empty argv and an unknown command, so an unrecognized-arguments error
-prints the command's usage line.  sweep evaluates a theorem that takes
-no s once and repeats its line at every grid point; no report is written
-through csv.
+build_parser() still returns a fresh one.  A plain command line, a known
+command followed by exact "--option value" pairs that its parser would
+accept as they stand, is read without argparse, from the options that
+parser declared.  Any other argv of a known command is parsed once, by
+the command's own parser, so an unrecognized-arguments error prints the
+command's usage line; the top-level parser serves only help, an empty
+argv and an unknown command.  argparse alone prints help and usage
+errors.  sweep evaluates a theorem that takes no s once and repeats its
+line at every grid point; no report is written through csv.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
@@ -56,19 +59,22 @@ import functools
 import math
 import re
 import sys
-from typing import Optional
 
 from .errors import EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The grammar's tokens, keyed by the name a ParseError gives as expected.
 _TOKEN = {
-    "number": re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"),
+    "number": re.compile(_NUMBER),
     **{f"'{c}'": re.compile(re.escape(c)) for c in "*x^+"},
 }
 _WS = re.compile(r"\s*")
+# One term with the whitespace around it and the "+" after it (or the end of
+# the text), captured whole, with its coefficient and exponent.
+_TERM = re.compile(rf"(\s*({_NUMBER})\s*(?:\*\s*x\s*\^\s*({_NUMBER})\s*)?(?:\+(?!\s*\Z)|\Z))")
 
 
 def _fmt(x: float) -> str:
@@ -77,6 +83,18 @@ def _fmt(x: float) -> str:
 
 def parse_function_dsl(text: str) -> PowerSum:
     """Parse the coefficient-mandatory power-sum grammar into a PowerSum."""
+    terms = _TERM.findall(text)
+    # The matches never overlap, so lengths that add up to the text's tile
+    # it, and then the text is in the grammar.  No number can run on into
+    # the token after it, so these are the token loop's terms.
+    if terms and sum(len(term) for term, _, _ in terms) == len(text):
+        return PowerSum((c, p or 0.0) for _, c, p in terms)
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> PowerSum:
+    """parse_function_dsl token by token: slower, but a malformed text
+    raises a ParseError with the offset and the token expected there."""
     pos = _WS.match(text).end()
 
     def take(expected: str) -> str:
@@ -280,45 +298,51 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command's own parser, by name, for dispatch to parse with.
     parser.commands = sub.choices
 
-    p = sub.add_parser("means", help="evaluate means of an interval")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.set_defaults(func=_cmd_means)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        # What _quick_parse reads: func, and each option string's Action.
+        p.func, p.options = func, {}
+        return p
 
-    p = sub.add_parser("defect", help="Bullen-type defect of a function")
-    p.add_argument("--f", required=True, help="function expression, e.g. '1*x^2'")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.set_defaults(func=_cmd_defect)
+    def option(p, flag, **kwargs):
+        # One flag storing one value, the only kind _quick_parse reads.
+        p.options[flag] = p.add_argument(flag, **kwargs)
 
-    p = sub.add_parser("bound", help="evaluate one inequality on explicit inputs")
-    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.set_defaults(func=_cmd_bound)
+    p = command("means", _cmd_means, "evaluate means of an interval")
+    option(p, "--a", type=float, required=True)
+    option(p, "--b", type=float, required=True)
+    option(p, "--p", type=float, default=None)
 
-    p = sub.add_parser("verify", help="run verification suites and emit a report")
-    p.add_argument("--suite", required=True, choices=["identity", "bounds", "reductions", "props", "all"])
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_verify)
+    p = command("defect", _cmd_defect, "Bullen-type defect of a function")
+    option(p, "--f", required=True, help="function expression, e.g. '1*x^2'")
+    option(p, "--a", type=float, required=True)
+    option(p, "--b", type=float, required=True)
 
-    p = sub.add_parser("sweep", help="evaluate one bound over an s grid")
-    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
-    p.add_argument("--f", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--s-grid", dest="s_grid", required=True, help="LO:HI:STEP")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
+    p = command("bound", _cmd_bound, "evaluate one inequality on explicit inputs")
+    option(p, "--theorem", required=True, choices=list(THEOREMS))
+    option(p, "--f", required=True)
+    option(p, "--a", type=float, required=True)
+    option(p, "--b", type=float, required=True)
+    option(p, "--s", type=float, default=None)
+    option(p, "--q", type=float, default=None)
+
+    p = command("verify", _cmd_verify, "run verification suites and emit a report")
+    option(p, "--suite", required=True, choices=["identity", "bounds", "reductions", "props", "all"])
+    option(p, "--cases", type=int, default=100)
+    option(p, "--seed", type=int, default=42)
+    option(p, "--tol", type=float, default=None)
+    option(p, "--out", default=None)
+    option(p, "--format", choices=["json", "csv"], default="json")
+
+    p = command("sweep", _cmd_sweep, "evaluate one bound over an s grid")
+    option(p, "--theorem", required=True, choices=list(THEOREMS))
+    option(p, "--f", required=True)
+    option(p, "--a", type=float, required=True)
+    option(p, "--b", type=float, required=True)
+    option(p, "--s-grid", dest="s_grid", required=True, help="LO:HI:STEP")
+    option(p, "--q", type=float, default=None)
+    option(p, "--out", required=True)
 
     return parser
 
@@ -330,14 +354,45 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _quick_parse(command: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """What command.parse_args(argv) returns, read without argparse, or None
+    unless argv is exact "--option value" pairs with each option once, no
+    value starting with "-", every value converted by its type and a valid
+    choice, and every required option given.  argparse parses every other
+    argv, so it alone prints help and usage errors."""
+    if len(argv) % 2:
+        return None
+    values = {}
+    for flag, text in zip(argv[::2], argv[1::2]):
+        action = command.options.get(flag)
+        if action is None or action.dest in values or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in command.options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(func=command.func, **values)
+
+
 def dispatch(argv) -> int:
     parser = _parser()
-    # A known command goes straight to its own parser, so it is parsed once.
+    # A known command goes straight to its own parser, so it is parsed at
+    # most once, and a plain command line is not handed to argparse at all.
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = None if command is None else _quick_parse(command, argv[1:])
+    if args is None:
+        try:
+            args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except OverflowError as exc:

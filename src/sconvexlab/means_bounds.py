@@ -22,7 +22,6 @@ props suite both read the two tables.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError

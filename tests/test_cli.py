@@ -29,6 +29,11 @@ from sconvexlab.means import OrderedInterval
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
 
+# Terms of the function grammar, and fragments to break them with.
+DSL_TERMS = ("1", "-0", "2.5", ".5", "1.", "+3E-2", "1e999", "1*x^2", "-0.5 * x ^ -1", "1e3*x^.5", " 4*x^+0 ")
+DSL_JUNK = ("", "1", ".", "e", "E", "-", "+", "*", "x", "^", "y", " ", "\t", "\u0663", "1e", "*x^")
+
+
 class TestFunctionGrammar:
     def test_single_term(self):
         assert parse_function_dsl("1*x^2").terms == ((1.0, 2.0),)
@@ -83,6 +88,27 @@ class TestFunctionGrammar:
             parse_function_dsl(text)
         assert (err.value.offset, err.value.expected) == (offset, expected)
         assert str(err.value) == f"parse error at offset {offset}: expected {expected}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_term_scan_agrees_with_the_token_loop(self, data):
+        """The term scan gives the token loop's terms, bit for bit, and any
+        text it does not cover raises the loop's error."""
+        # Terms and separators, spaced or not, then up to three edits.
+        pieces = data.draw(st.lists(st.sampled_from(DSL_TERMS), min_size=1, max_size=4))
+        text = data.draw(st.sampled_from(("+", " + ", "+ ", "\t+"))).join(pieces)
+        for _ in range(data.draw(st.sampled_from((0, 0, 1, 2, 3)))):
+            at = data.draw(st.integers(0, len(text)))
+            junk = data.draw(st.sampled_from(DSL_JUNK))
+            text = text[:at] + junk + text[at + data.draw(st.integers(0, 1)):]
+
+        def outcome(parse):
+            try:
+                return repr(parse(text))
+            except LabError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(parse_function_dsl) == outcome(cli._parse_tokens)
 
     def test_roundtrip_identity(self):
         rng = random.Random(71)
@@ -557,9 +583,30 @@ class TestParserReuse:
         assert "invalid choice: 'nonsense'" in err
 
 
+# Each command's options, with values they accept.
+_AB = {"--a": ["1", "1.5", "nan"], "--b": ["3", "1e308", "1_0"]}
+_THEOREM = {"--theorem": ["se2", "pp"], "--f": ["1*x^2", ""], **_AB, "--q": ["2", "-0"]}
+QUICK_OPTIONS = {
+    "means": {**_AB, "--p": ["2", "0.5"]},
+    "defect": {"--f": ["1*x^2", ""], **_AB},
+    "bound": {**_THEOREM, "--s": ["0.5", "inf"]},
+    "verify": {"--suite": ["all", "props"], "--cases": ["3", "1_0"], "--seed": ["7"], "--tol": ["1e-9"],
+               "--out": ["r.json"], "--format": ["csv", "json"]},
+    "sweep": {**_THEOREM, "--s-grid": ["0.5:1:0.5"], "--out": ["s.csv"]},
+}
+# Tokens argparse reads its own way: abbreviated and "=" options, help, "--",
+# negative numbers, a value that starts with "-", values that no type or
+# choice accepts, and every option and value above.
+QUICK_TOKENS = sorted({token for options in QUICK_OPTIONS.values() for flag, values in options.items()
+                       for token in (flag, *values)} | {
+    "--the", "--s-g", "--cas", "--form", "--su", "--a=1", "--b=3", "--theorem=se2", "--suite=all", "--f=1*x^2",
+    "-h", "--help", "--", "-2.5", "-1e-3", "-x", "", "se99", "bogus", "1.5.2", " 2 ", "--zz",
+})
+
+
 class TestDirectParse:
-    """A known command's arguments go straight to its own parser: the same
-    outcome as the top-level route, parsed once instead of twice."""
+    """A known command's arguments are read without argparse or go straight
+    to its own parser: the same outcome as the top-level route."""
 
     @staticmethod
     def _calls(tmp_path):
@@ -619,6 +666,8 @@ class TestDirectParse:
         assert "sconvexlab bound: error: unrecognized arguments: --zz 1\n" in captured.err
 
     def test_each_call_parses_once(self, capsys, monkeypatch, tmp_path):
+        """A plain command line never reaches argparse; any other argv of a
+        known command is parsed once, by that command's parser."""
         parsed = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -630,12 +679,44 @@ class TestDirectParse:
         for argv in self._calls(tmp_path)[:5]:
             parsed.clear()
             assert dispatch(argv) == 0
+            assert parsed == []
+        # --opt=value, an abbreviated option, a repeated option, a negative value.
+        for argv in (
+            ["bound", "--theorem=se5", *BOUND_X2, "--s=0.5", "--q=2"],
+            ["bound", "--the", "se2", *BOUND_X2, "--s", "0.5"],
+            ["means", "--a", "1", "--a", "2", "--b", "3"],
+            ["means", "--a", "1", "--b", "3", "--p", "-2.5"],
+        ):
+            parsed.clear()
+            assert dispatch(argv) == 0
             assert parsed == [f"sconvexlab {argv[0]}"]
-        # Help and an unknown command still go through the top-level parser.
+        # Help and an unknown command go through the top-level parser.
         for argv, code in ((["--help"], 0), (["nonsense"], 2)):
             parsed.clear()
             assert dispatch(argv) == code
             assert parsed == ["sconvexlab"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(call=st.data())
+    def test_quick_parse_is_argparse_or_none(self, call):
+        """Over argv built from valid pairs and from tokens argparse reads
+        its own way, _quick_parse gives None or what parse_args gives."""
+        command = call.draw(st.sampled_from(sorted(QUICK_OPTIONS)))
+        argv = []
+        for flag, values in call.draw(st.permutations(list(QUICK_OPTIONS[command].items()))):
+            if call.draw(st.sampled_from((True, True, True, False))):
+                argv += [flag, call.draw(st.sampled_from(values))]
+        # Edits that repeat an option, split a pair, or bring in another token.
+        for _ in range(call.draw(st.sampled_from((0, 0, 1, 2, 3)))):
+            at = call.draw(st.integers(0, len(argv)))
+            token = call.draw(st.sampled_from(QUICK_TOKENS))
+            argv[at:at + call.draw(st.integers(0, 1))] = [token]
+        parser = cli._parser().commands[command]
+        quick = cli._quick_parse(parser, argv)
+        if quick is not None:
+            # repr, so that nan equals nan and -0.0 differs from 0.0.
+            expected = {name: repr(value) for name, value in vars(parser.parse_args(argv)).items()}
+            assert {name: repr(value) for name, value in vars(quick).items()} == expected
 
 
 Q_THEOREMS = ("se5", "se6", "s2", "s3", "pp", "ppc", "adk")
