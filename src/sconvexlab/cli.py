@@ -36,8 +36,9 @@ prints only its error line.
 dispatch builds the argparse parser once per process and reuses it;
 build_parser() still returns a fresh one.  A plain command line, a known
 command followed by exact "--option value" pairs that its parser would
-accept as they stand, is read without argparse, from the options that
-parser declared.  Any other argv of a known command is parsed once, by
+accept as they stand (a value may start with "-" only as a negative
+number), is read without argparse, from the options that parser
+declared.  Any other argv of a known command is parsed once, by
 the command's own parser, so an unrecognized-arguments error prints the
 command's usage line; the top-level parser serves only help, an empty
 argv and an unknown command.  argparse alone prints help and usage
@@ -48,7 +49,7 @@ verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
 other commands never compile either module.  That call binds the harness
 names verify uses into this module, keeping any already replaced here,
-and reading one of them from outside (cli.write_report, cli.run_bound_suite)
+and reading one of them from outside (cli.write_report, cli.run_bound_suites)
 binds them too, so the object read or replaced is the one verify calls.
 """
 
@@ -72,6 +73,9 @@ _TOKEN = {
     **{f"'{c}'": re.compile(re.escape(c)) for c in "*x^+"},
 }
 _WS = re.compile(r"\s*")
+# What argparse takes for a negative number, not an option, in a parser
+# that has no option looking like one (its own pattern).
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 # One term with the whitespace around it and the "+" after it (or the end of
 # the text), captured whole, with its coefficient and exponent.
 _TERM = re.compile(rf"(\s*({_NUMBER})\s*(?:\*\s*x\s*\^\s*({_NUMBER})\s*)?(?:\+(?!\s*\Z)|\Z))")
@@ -164,7 +168,7 @@ _HARNESS_NAMES = (
     "SuiteConfig",
     "_csv_lines",
     "render_json",
-    "run_bound_suite",
+    "run_bound_suites",
     "run_identity_suite",
     "run_prop_crosscheck_suite",
     "run_reduction_suite",
@@ -194,7 +198,7 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
     if name in ("identity", "all"):
         reports.append(run_identity_suite(cfg))
     if name in ("bounds", "all"):
-        reports.extend(run_bound_suite(cfg, th) for th in THEOREMS)
+        reports.extend(run_bound_suites(cfg, THEOREMS))
     if name in ("reductions", "all"):
         reports.append(run_reduction_suite(cfg))
     if name in ("props", "all"):
@@ -357,15 +361,18 @@ def _parser() -> argparse.ArgumentParser:
 def _quick_parse(command: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
     """What command.parse_args(argv) returns, read without argparse, or None
     unless argv is exact "--option value" pairs with each option once, no
-    value starting with "-", every value converted by its type and a valid
-    choice, and every required option given.  argparse parses every other
-    argv, so it alone prints help and usage errors."""
+    value starting with "-" but a negative number as argparse reads one,
+    every value converted by its type and a valid choice, and every
+    required option given.  argparse parses every other argv, so it alone
+    prints help and usage errors."""
     if len(argv) % 2:
         return None
     values = {}
     for flag, text in zip(argv[::2], argv[1::2]):
         action = command.options.get(flag)
-        if action is None or action.dest in values or text.startswith("-"):
+        if action is None or action.dest in values:
+            return None
+        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
             return None
         try:
             value = text if action.type is None else action.type(text)

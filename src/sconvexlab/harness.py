@@ -18,7 +18,11 @@ Four suites:
 
 Case i draws everything from one generator, random.Random((seed << 32) | i),
 so parallel and serial runs would agree, identical configs produce
-identical reports, and no two (seed, case) pairs share a sub-seed.
+identical reports, and no two (seed, case) pairs share a sub-seed.  The
+bound suites run case by case (run_bound_suites): a case is seeded once,
+and its theorems share its s and q and the instance of each family they
+draw from, drawn from the generator state that follows s and q, so a
+theorem's rows are the same whichever theorems share its run.
 
 SuiteConfig and SuiteReport are named tuples; SuiteConfig checks its
 fields in __new__, which _make and _replace skip, so nothing calls those
@@ -133,7 +137,7 @@ class SuiteReport(NamedTuple):
     runtime_ms: float
 
 
-def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[str], t0: float) -> SuiteReport:
+def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[str], seconds: float) -> SuiteReport:
     evaluated = [r for r in rows if r.status != "skipped"]
     skipped = len(rows) - len(evaluated)
     if not evaluated:
@@ -151,7 +155,7 @@ def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[st
         warnings=warnings,
         worst_margin=worst,
         notes=tuple(notes),
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        runtime_ms=seconds * 1000.0,
     )
 
 
@@ -181,7 +185,7 @@ def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
         rows.append(_match_row(i, "identity", iv, None, None, lhs, rhs, tol))
-    return _finish("identity", cfg, rows, [], t0)
+    return _finish("identity", cfg, rows, [], time.perf_counter() - t0)
 
 
 def _convex_f_instance(rng: random.Random) -> tuple[FuncHandle, OrderedInterval]:
@@ -223,55 +227,99 @@ def _sconvex_term_instance(rng: random.Random, s: float) -> tuple[FuncHandle, Or
     return handle_from_power_sum(f), sample_interval(rng, _GEN)
 
 
-def _draw_instance(th: Theorem, i: int, rng: random.Random, s: float,
-                   q: float) -> tuple[FuncHandle, float, float, float]:
-    """Case i's instance, as (f, a, b, s), drawn with the case's rng from the
-    family that meets the theorem's hypothesis."""
+def _family(th: Theorem, s: float, q: float) -> str:
+    """The instance family whose draws meet th's hypothesis at the case's s
+    and q.  Theorems with one family share its instance within a case."""
     if th.hypothesis == "f" and th.takes_s:
+        return "s-power"
+    if th.concave:
+        return "concave"
+    if th.hypothesis == "f":
+        return "convex f"
+    if th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0:
+        return "s-term swap"
+    return "base"
+
+
+def _draw_family(family: str, i: int, rng: random.Random, s: float,
+                 q: float) -> tuple[FuncHandle, float, float, float]:
+    """Case i's instance from family, as (f, a, b, s), drawn with rng."""
+    if family == "s-power":
         if i == 0:
             # Sharp instance: the endpoint-average constant is attained.
             return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
         f, u, v = _s_power_instance(rng, s)
         return f, u, v, s
-    if th.concave:
+    if family == "concave":
         f, iv = _concave_power_instance(rng, q)
-    elif th.hypothesis == "f":
+    elif family == "convex f":
         f, iv = _convex_f_instance(rng)
-    elif th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0 and rng.random() < 0.2:
+    elif family == "s-term swap" and rng.random() < 0.2:
         f, iv = _sconvex_term_instance(rng, s)
     else:
         f, iv = sample_dconvex_instance(rng, _GEN)
     return f, iv.a, iv.b, s
 
 
-def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
-    """Assert one inequality over generated instances; skip unproved hypotheses.
+def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
+    """One report per theorem id, in the order given: its inequality
+    asserted over generated instances, and a case skipped when
+    funcmodel.check_hypothesis finds no rule that proves its hypothesis.
 
-    Each case passes the theorem's hypothesis to funcmodel.check_hypothesis,
-    and is skipped when that returns None: no rule proves the hypothesis.
+    Cases run in order, and within a case the theorems in the order given.
+    Case i is seeded once, with _case_rng, and draws s and q; each family
+    (_family) its theorems need is then drawn once, from the generator
+    state that followed s and q, so each row is the one its theorem's run
+    alone gives.  Nothing but the rows outlives its case.  A report's
+    runtime_ms counts its theorem's rows, and the seeding and draws that
+    theorem was the first to need.
     """
-    th = THEOREMS.get(theorem.lower())
-    if th is None:
-        raise DomainError(f"unknown bound suite {theorem!r}")
-    t0 = time.perf_counter()
+    ths = []
+    for theorem in theorems:
+        th = THEOREMS.get(theorem.lower())
+        if th is None:
+            raise DomainError(f"unknown bound suite {theorem!r}")
+        ths.append(th)
     tol = cfg.tol_or(DEFAULT_BOUND_TOL)
-    rows: list[CaseRow] = []
+    # Each theorem's family at each (s, q) a case can draw.
+    plans = {(s, q): [_family(th, s, q) for th in ths] for s in _S_GRID for q in _Q_GRID}
+    rows: list[list[CaseRow]] = [[] for _ in ths]
+    seconds = [0.0] * len(ths)
 
     for i in range(cfg.cases):
+        t = time.perf_counter()
         rng = _case_rng(cfg, i)
         s = rng.choice(_S_GRID)
         q = rng.choice(_Q_GRID)
-        f, a, b, s = _draw_instance(th, i, rng, s, q)
-        s_row = s if th.takes_s else None
-        q_row = q if th.uses_q else None
-        s_cert = s if th.takes_s else 1.0
-        if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave) is None:
-            rows.append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
-            continue
-        lhs, rhs = th.sides(f, a, b, s, q)
-        rows.append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, tol))
+        families = plans[s, q]
+        after_sq = rng.getstate() if len(ths) > 1 else None
+        drawn = {}
+        for j, (th, family) in enumerate(zip(ths, families)):
+            instance = drawn.get(family)
+            if instance is None:
+                if drawn:
+                    rng.setstate(after_sq)
+                instance = drawn[family] = _draw_family(family, i, rng, s, q)
+            f, a, b, s_case = instance
+            s_row = s_case if th.takes_s else None
+            q_row = q if th.uses_q else None
+            s_cert = s_case if th.takes_s else 1.0
+            if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave) is None:
+                rows[j].append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
+            else:
+                lhs, rhs = th.sides(f, a, b, s_case, q)
+                rows[j].append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, tol))
+            now = time.perf_counter()
+            seconds[j] += now - t
+            t = now
 
-    return _finish(f"bounds:{th.id}", cfg, rows, [], t0)
+    return [_finish(f"bounds:{th.id}", cfg, th_rows, [], sec)
+            for th, th_rows, sec in zip(ths, rows, seconds)]
+
+
+def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
+    """run_bound_suites for one theorem."""
+    return run_bound_suites(cfg, (theorem,))[0]
 
 
 def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -298,7 +346,7 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
             rel = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
             status = "ok" if rel <= tol else "violation"
             rows.append(CaseRow(i, name, iv.a, iv.b, s_row, q_row, lhs, rhs, -rel, status))
-    return _finish("reductions", cfg, rows, [], t0)
+    return _finish("reductions", cfg, rows, [], time.perf_counter() - t0)
 
 
 def _quadrature_oracle(c: float, p: float) -> FuncHandle:
@@ -362,7 +410,7 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
         f"({printed_negative}/{cfg.cases} printed values fall below the substitution bound); "
         "the printed form is reported for documentation and never asserted."
     ]
-    return _finish("props", cfg, rows, notes, t0)
+    return _finish("props", cfg, rows, notes, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -587,10 +587,10 @@ class TestParserReuse:
 _AB = {"--a": ["1", "1.5", "nan"], "--b": ["3", "1e308", "1_0"]}
 _THEOREM = {"--theorem": ["se2", "pp"], "--f": ["1*x^2", ""], **_AB, "--q": ["2", "-0"]}
 QUICK_OPTIONS = {
-    "means": {**_AB, "--p": ["2", "0.5"]},
+    "means": {**_AB, "--p": ["2", "0.5", "-2.5"]},
     "defect": {"--f": ["1*x^2", ""], **_AB},
     "bound": {**_THEOREM, "--s": ["0.5", "inf"]},
-    "verify": {"--suite": ["all", "props"], "--cases": ["3", "1_0"], "--seed": ["7"], "--tol": ["1e-9"],
+    "verify": {"--suite": ["all", "props"], "--cases": ["3", "1_0"], "--seed": ["7", "-7"], "--tol": ["1e-9"],
                "--out": ["r.json"], "--format": ["csv", "json"]},
     "sweep": {**_THEOREM, "--s-grid": ["0.5:1:0.5"], "--out": ["s.csv"]},
 }
@@ -676,19 +676,21 @@ class TestDirectParse:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        for argv in self._calls(tmp_path)[:5]:
+        # A valid call of each command, and a negative number as a value.
+        for argv in [*self._calls(tmp_path)[:5], ["means", "--a", "1", "--b", "3", "--p", "-2.5"]]:
             parsed.clear()
             assert dispatch(argv) == 0
             assert parsed == []
-        # --opt=value, an abbreviated option, a repeated option, a negative value.
-        for argv in (
-            ["bound", "--theorem=se5", *BOUND_X2, "--s=0.5", "--q=2"],
-            ["bound", "--the", "se2", *BOUND_X2, "--s", "0.5"],
-            ["means", "--a", "1", "--a", "2", "--b", "3"],
-            ["means", "--a", "1", "--b", "3", "--p", "-2.5"],
+        # --opt=value, an abbreviated option, a repeated option, and a value
+        # starting with "-" that argparse does not read as a negative number.
+        for argv, code in (
+            (["bound", "--theorem=se5", *BOUND_X2, "--s=0.5", "--q=2"], 0),
+            (["bound", "--the", "se2", *BOUND_X2, "--s", "0.5"], 0),
+            (["means", "--a", "1", "--a", "2", "--b", "3"], 0),
+            (["means", "--a", "1", "--b", "3", "--p", "-1e-3"], 2),
         ):
             parsed.clear()
-            assert dispatch(argv) == 0
+            assert dispatch(argv) == code
             assert parsed == [f"sconvexlab {argv[0]}"]
         # Help and an unknown command go through the top-level parser.
         for argv, code in ((["--help"], 0), (["nonsense"], 2)):
@@ -907,23 +909,26 @@ def test_import_footprint():
 
 
 def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):
-    """A cli.write_report or cli.run_bound_suite set before the first verify
-    is kept when verify binds the harness names."""
+    """A cli.write_report or cli.run_bound_suites set before the first verify
+    is kept when verify binds the harness names; verify runs the bound
+    suites in one call."""
     script = (
         "import os, sys, sconvexlab.cli as cli\n"
         "from sconvexlab import harness\n"
         "seen = []\n"
         "def write_report(payload, path, fmt):\n"
         "    seen.append('write ' + fmt)\n"
-        "def run_bound_suite(cfg, theorem):\n"
-        "    seen.append(theorem)\n"
-        "    return harness.run_bound_suite(cfg, theorem)\n"
-        "cli.write_report, cli.run_bound_suite = write_report, run_bound_suite\n"
+        "def run_bound_suites(cfg, theorems):\n"
+        "    seen.append('bounds ' + str(len(theorems)))\n"
+        "    return harness.run_bound_suites(cfg, theorems)\n"
+        "cli.write_report, cli.run_bound_suites = write_report, run_bound_suites\n"
         "code = cli.dispatch(['verify', '--suite', 'bounds', '--cases', '2', '--format', 'csv', '--out', sys.argv[1]])\n"
-        "print(code, len(seen), seen[-1], cli.write_report is write_report, cli.render_json is harness.render_json,\n"
+        "print(code, seen, cli.write_report is write_report, cli.render_json is harness.render_json,\n"
         "      os.path.exists(sys.argv[1]))\n"
     )
-    assert _run_fresh(script, tmp_path / "report.csv") == f"0 {len(THEOREMS) + 1} write csv True True False"
+    assert _run_fresh(script, tmp_path / "report.csv") == (
+        f"0 ['bounds {len(THEOREMS)}', 'write csv'] True True False"
+    )
 
 
 def test_cli_never_imports_numpy(tmp_path):

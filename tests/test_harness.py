@@ -148,6 +148,46 @@ class TestBoundSuites:
             # A skip row carries the same columns as the row it replaces.
             assert (skipped.a, skipped.b, skipped.s, skipped.q) == (full.a, full.b, full.s, full.q), theorem
 
+    @pytest.mark.parametrize("order", [
+        list(THEOREMS),
+        list(THEOREMS)[::-1],
+        ["se6", "hhs", "s1", "adk", "se2"],
+    ], ids=["registry", "reversed", "subset"])
+    def test_a_shared_run_gives_each_theorem_its_own_rows(self, order):
+        """run_bound_suites gives each theorem the report run_bound_suite
+        gives it alone, whichever theorems share the run and in any order."""
+        cfg = SuiteConfig(seed=7331, cases=200)
+        shared = harness.run_bound_suites(cfg, order)
+        assert [r.suite_id for r in shared] == [f"bounds:{theorem}" for theorem in order]
+        for theorem, report in zip(order, shared):
+            alone = run_bound_suite(cfg, theorem)
+            # repr, field by field, so that -0.0 differs from 0.0 and nan equals nan.
+            assert [list(map(repr, row)) for row in report.rows] == [list(map(repr, row)) for row in alone.rows]
+            assert repr(report._replace(runtime_ms=0.0)) == repr(alone._replace(runtime_ms=0.0)), theorem
+
+    def test_the_shared_run_check_reaches_every_draw(self):
+        """Seed 7331 over 200 cases, the configuration above, holds the hhs
+        sharp case 0 and both outcomes of the s-term swap."""
+        cfg = SuiteConfig(seed=7331, cases=200)
+        first = run_bound_suite(cfg, "hhs").rows[0]
+        assert (first.a, first.b, first.s) == (0.0, 1.0, 0.5)
+        swapped = set()
+        for i in range(cfg.cases):
+            rng = harness._case_rng(cfg, i)
+            s, q = rng.choice(harness._S_GRID), rng.choice(harness._Q_GRID)
+            if harness._family(THEOREMS["se5"], s, q) == "s-term swap":
+                swapped.add(rng.random() < 0.2)
+        assert swapped == {True, False}
+
+    def test_each_case_is_seeded_once(self, monkeypatch):
+        """verify --suite bounds builds one generator per case, not one per
+        case and theorem."""
+        seeded = []
+        real = harness._case_rng
+        monkeypatch.setattr(harness, "_case_rng", lambda cfg, i: seeded.append(i) or real(cfg, i))
+        cli._run_suites("bounds", SuiteConfig(seed=1, cases=7))
+        assert seeded == list(range(7))
+
 
 class TestProofCoverage:
     def test_every_generated_case_is_proved(self):
