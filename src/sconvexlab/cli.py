@@ -33,17 +33,18 @@ double round trip.  An overflow prints "error: floating-point overflow:
 float power can overflow to inf without raising), and a failing call
 prints only its error line.
 
-dispatch builds the argparse parser once per process and reuses it;
-build_parser() still returns a fresh one.  A plain command line, a known
-command followed by exact "--option value" pairs that its parser would
-accept as they stand (a value may start with "-" only as a negative
-number), is read without argparse, from the options that parser
-declared.  Any other argv of a known command is parsed once, by
-the command's own parser, so an unrecognized-arguments error prints the
-command's usage line; the top-level parser serves only help, an empty
-argv and an unknown command.  argparse alone prints help and usage
-errors.  sweep evaluates a theorem that takes no s once and repeats its
-line at every grid point; no report is written through csv.
+COMMANDS declares the five commands once: each one's function, help line
+and options.  dispatch reads a plain command line, a known command
+followed by exact "--option value" pairs that its parser would accept as
+they stand (a value may start with "-" only as a negative number), from
+that table without argparse.  For any other argv it builds the argparse
+parser build_parser() generates from the table, and a known command's
+arguments are parsed once, by the command's own parser, so an
+unrecognized-arguments error prints the command's usage line; the
+top-level parser serves only help, an empty argv and an unknown command.
+argparse alone prints help and usage errors.  sweep evaluates a theorem
+that takes no s once and repeats its line at every grid point; no report
+is written through csv.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
@@ -56,7 +57,6 @@ binds them too, so the object read or replaced is the one verify calls.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import re
 import sys
@@ -293,109 +293,90 @@ def _cmd_sweep(args) -> int:
     return 0 if violations == 0 else 1
 
 
+# An option no command line may leave out.
+REQUIRED = object()
+# Each command's function, help line and options in usage order: each flag's
+# type or tuple of choices, its default or REQUIRED, and its help.
+_AB = {"--a": (float, REQUIRED, None), "--b": (float, REQUIRED, None)}
+_THEOREM_F_AB = {"--theorem": (tuple(THEOREMS), REQUIRED, None), "--f": (str, REQUIRED, None), **_AB}
+COMMANDS = {
+    "means": (_cmd_means, "evaluate means of an interval", {**_AB, "--p": (float, None, None)}),
+    "defect": (_cmd_defect, "Bullen-type defect of a function",
+               {"--f": (str, REQUIRED, "function expression, e.g. '1*x^2'"), **_AB}),
+    "bound": (_cmd_bound, "evaluate one inequality on explicit inputs",
+              {**_THEOREM_F_AB, "--s": (float, None, None), "--q": (float, None, None)}),
+    "verify": (_cmd_verify, "run verification suites and emit a report", {
+        "--suite": (("identity", "bounds", "reductions", "props", "all"), REQUIRED, None),
+        "--cases": (int, 100, None), "--seed": (int, 42, None), "--tol": (float, None, None),
+        "--out": (str, None, None), "--format": (("json", "csv"), "json", None)}),
+    "sweep": (_cmd_sweep, "evaluate one bound over an s grid", {
+        **_THEOREM_F_AB, "--s-grid": (str, REQUIRED, "LO:HI:STEP"), "--q": (float, None, None),
+        "--out": (str, REQUIRED, None)}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser for COMMANDS, with each command's own parser,
+    by name, in its commands attribute."""
     parser = argparse.ArgumentParser(
         prog="sconvexlab",
         description="Verification laboratory for integral inequalities with s-convex derivative data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command's own parser, by name, for dispatch to parse with.
-    parser.commands = sub.choices
-
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        # What _quick_parse reads: func, and each option string's Action.
-        p.func, p.options = func, {}
-        return p
-
-    def option(p, flag, **kwargs):
-        # One flag storing one value, the only kind _quick_parse reads.
-        p.options[flag] = p.add_argument(flag, **kwargs)
-
-    p = command("means", _cmd_means, "evaluate means of an interval")
-    option(p, "--a", type=float, required=True)
-    option(p, "--b", type=float, required=True)
-    option(p, "--p", type=float, default=None)
-
-    p = command("defect", _cmd_defect, "Bullen-type defect of a function")
-    option(p, "--f", required=True, help="function expression, e.g. '1*x^2'")
-    option(p, "--a", type=float, required=True)
-    option(p, "--b", type=float, required=True)
-
-    p = command("bound", _cmd_bound, "evaluate one inequality on explicit inputs")
-    option(p, "--theorem", required=True, choices=list(THEOREMS))
-    option(p, "--f", required=True)
-    option(p, "--a", type=float, required=True)
-    option(p, "--b", type=float, required=True)
-    option(p, "--s", type=float, default=None)
-    option(p, "--q", type=float, default=None)
-
-    p = command("verify", _cmd_verify, "run verification suites and emit a report")
-    option(p, "--suite", required=True, choices=["identity", "bounds", "reductions", "props", "all"])
-    option(p, "--cases", type=int, default=100)
-    option(p, "--seed", type=int, default=42)
-    option(p, "--tol", type=float, default=None)
-    option(p, "--out", default=None)
-    option(p, "--format", choices=["json", "csv"], default="json")
-
-    p = command("sweep", _cmd_sweep, "evaluate one bound over an s grid")
-    option(p, "--theorem", required=True, choices=list(THEOREMS))
-    option(p, "--f", required=True)
-    option(p, "--a", type=float, required=True)
-    option(p, "--b", type=float, required=True)
-    option(p, "--s-grid", dest="s_grid", required=True, help="LO:HI:STEP")
-    option(p, "--q", type=float, default=None)
-    option(p, "--out", required=True)
-
+        for flag, (kind, default, help) in options.items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(flag, type=None if choices else kind, choices=choices, required=default is REQUIRED,
+                           default=None if default is REQUIRED else default, help=help)
+    parser.commands = sub.choices
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser.  Reuse is safe: parse_args builds a fresh
-    Namespace per call and every default is immutable."""
-    return build_parser()
-
-
-def _quick_parse(command: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
-    """What command.parse_args(argv) returns, read without argparse, or None
-    unless argv is exact "--option value" pairs with each option once, no
-    value starting with "-" but a negative number as argparse reads one,
-    every value converted by its type and a valid choice, and every
-    required option given.  argparse parses every other argv, so it alone
-    prints help and usage errors."""
-    if len(argv) % 2:
+def _quick_parse(name: str, argv) -> argparse.Namespace | None:
+    """What command name's parser returns for argv, read from COMMANDS
+    without argparse, or None unless name is a command and argv is exact
+    "--option value" pairs with each option once, no value starting with
+    "-" but a negative number as argparse reads one, every value converted
+    by its type and a valid choice, and every required option given.
+    argparse parses every other argv, so it alone prints help and usage
+    errors."""
+    command = COMMANDS.get(name)
+    if command is None or len(argv) % 2:
         return None
+    func, _, options = command
     values = {}
     for flag, text in zip(argv[::2], argv[1::2]):
-        action = command.options.get(flag)
-        if action is None or action.dest in values:
+        if flag not in options or flag in values:
             return None
         if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
             return None
-        try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    for action in command.options.values():
-        if action.dest not in values:
-            if action.required:
+        kind = options[flag][0]
+        if isinstance(kind, tuple):
+            if text not in kind:
                 return None
-            values[action.dest] = action.default
-    return argparse.Namespace(func=command.func, **values)
+            values[flag] = text
+        else:
+            try:
+                values[flag] = kind(text)
+            except (TypeError, ValueError):
+                return None
+    for flag, (_, default, _) in options.items():
+        if flag not in values:
+            if default is REQUIRED:
+                return None
+            values[flag] = default
+    return argparse.Namespace(func=func, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def dispatch(argv) -> int:
-    parser = _parser()
-    # A known command goes straight to its own parser, so it is parsed at
-    # most once, and a plain command line is not handed to argparse at all.
-    command = parser.commands.get(argv[0]) if argv else None
-    args = None if command is None else _quick_parse(command, argv[1:])
+    args = _quick_parse(argv[0], argv[1:]) if argv else None
     if args is None:
+        # A known command goes straight to its own parser, so it is parsed
+        # once and a usage error prints the command's usage line.
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
         try:
             args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         except SystemExit as exc:

@@ -317,11 +317,6 @@ def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
             for th, th_rows, sec in zip(ths, rows, seconds)]
 
 
-def run_bound_suite(cfg: SuiteConfig, theorem: str) -> SuiteReport:
-    """run_bound_suites for one theorem."""
-    return run_bound_suites(cfg, (theorem,))[0]
-
-
 def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     """The four algebraic collapses, as relative discrepancies on random data."""
     t0 = time.perf_counter()

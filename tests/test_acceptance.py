@@ -25,7 +25,7 @@ from sconvexlab.cli import dispatch
 from sconvexlab.funcmodel import FuncHandle, GenConfig, PowerSum, handle_from_power_sum, sample_interval
 from sconvexlab.harness import (
     SuiteConfig,
-    run_bound_suite,
+    run_bound_suites,
     run_identity_suite,
     run_prop_crosscheck_suite,
     run_reduction_suite,
@@ -53,7 +53,7 @@ def test_criterion_1_lemma_identity_1000_instances():
 def test_criterion_2_endpoint_bound_dominance_5000_cases():
     ok = False
     try:
-        report = run_bound_suite(SuiteConfig(seed=101, cases=5000, tol=1e-9), "SE2")
+        report = run_bound_suites(SuiteConfig(seed=101, cases=5000, tol=1e-9), ("SE2",))[0]
         assert report.cases_run == 5000
         assert report.violations == (), f"se2 violations: {report.violations[:3]}"
         assert report.skipped < 5000
@@ -75,7 +75,7 @@ def test_criterion_3_holder_and_power_mean_bounds_5000_each():
     ok = False
     try:
         for theorem in ("SE5", "SE6"):
-            report = run_bound_suite(SuiteConfig(seed=202, cases=5000, tol=1e-9), theorem)
+            report = run_bound_suites(SuiteConfig(seed=202, cases=5000, tol=1e-9), (theorem,))[0]
             assert report.cases_run == 5000
             assert report.violations == (), f"{theorem} violations: {report.violations[:3]}"
         ok = True
@@ -135,7 +135,7 @@ def test_criterion_7_prior_art_chain_1000_each():
     ok = False
     try:
         for theorem in ("HH", "DA", "PP", "PPC", "ADK"):
-            report = run_bound_suite(SuiteConfig(seed=505, cases=1000, tol=1e-9), theorem)
+            report = run_bound_suites(SuiteConfig(seed=505, cases=1000, tol=1e-9), (theorem,))[0]
             assert report.cases_run == 1000
             assert report.violations == (), f"{theorem} violations: {report.violations[:3]}"
             assert report.skipped < 1000

@@ -95,7 +95,7 @@ def test_means_calls(p):
 
 def test_counter_fields():
     counts = Counter()
-    report = harness.run_bound_suite(SuiteConfig(seed=1, cases=3), "se2")
+    report = harness.run_bound_suites(SuiteConfig(seed=1, cases=3), ("se2",))[0]
     spans._count_suite(counts, (), {}, report)
     spans._count_quadrature(counts, (), {}, quadrature.integrate(lambda x: x * x, 0.0, 1.0))
     assert counts["harness.rows"] == len(report.rows) == 3 and counts["harness.skipped"] == report.skipped == 0

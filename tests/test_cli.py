@@ -525,7 +525,7 @@ def _outcome(capsys, argv):
 
 
 class TestParserReuse:
-    """dispatch keeps one parser per process; no call may see another's state."""
+    """No call may see another's state."""
 
     def test_each_call_matches_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
         sweep_out = str(tmp_path / "sweep.csv")
@@ -548,12 +548,11 @@ class TestParserReuse:
             ["--help"],
             ["bound", "--help"],
         ]
-        reused = [_outcome(capsys, argv) for argv in calls]
-        monkeypatch.setattr(cli, "_parser", build_parser)
-        fresh = [_outcome(capsys, argv) for argv in calls]
-        assert reused == fresh
+        first = [_outcome(capsys, argv) for argv in calls]
+        second = [_outcome(capsys, argv) for argv in calls]
+        assert first == second
         # Each usage error (exit 2) is followed by a call that succeeds.
-        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 2, 0, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0]
+        assert [code for code, _, _ in first] == [0, 2, 0, 2, 2, 0, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0]
 
     def test_no_value_leaks_between_calls(self, capsys):
         argv = ["bound", "--theorem", "se5", *BOUND_X2, "--s", "0.5"]
@@ -581,6 +580,74 @@ class TestParserReuse:
         err = capsys.readouterr().err
         assert err.startswith(build_parser().format_usage())
         assert "invalid choice: 'nonsense'" in err
+
+
+THEOREM_CHOICES = "{se2,se5,se6,s1,s2,s3,da,pp,ppc,adk,hh,hhs,bullen}"
+BOUND_USAGE = f"""\
+usage: sconvexlab bound [-h] --theorem
+                        {THEOREM_CHOICES} --f
+                        F --a A --b B [--s S] [--q Q]
+"""
+# What the command line prints for help and usage errors on an 80-column
+# terminal, written out rather than taken from build_parser().
+GOLDEN_TEXT = {
+    ("--help",): ("out", """\
+usage: sconvexlab [-h] {means,defect,bound,verify,sweep} ...
+
+Verification laboratory for integral inequalities with s-convex derivative
+data.
+
+positional arguments:
+  {means,defect,bound,verify,sweep}
+    means               evaluate means of an interval
+    defect              Bullen-type defect of a function
+    bound               evaluate one inequality on explicit inputs
+    verify              run verification suites and emit a report
+    sweep               evaluate one bound over an s grid
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    ("bound", "--help"): ("out", BOUND_USAGE + f"""
+options:
+  -h, --help            show this help message and exit
+  --theorem {THEOREM_CHOICES}
+  --f F
+  --a A
+  --b B
+  --s S
+  --q Q
+"""),
+    ("sweep", "--help"): ("out", f"""\
+usage: sconvexlab sweep [-h] --theorem
+                        {THEOREM_CHOICES} --f
+                        F --a A --b B --s-grid S_GRID [--q Q] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --theorem {THEOREM_CHOICES}
+  --f F
+  --a A
+  --b B
+  --s-grid S_GRID       LO:HI:STEP
+  --q Q
+  --out OUT
+"""),
+    ("bound", "--theorem", "se99", *BOUND_X2): ("err", BOUND_USAGE + (
+        "sconvexlab bound: error: argument --theorem: invalid choice: 'se99' (choose from 'se2', 'se5', "
+        "'se6', 's1', 's2', 's3', 'da', 'pp', 'ppc', 'adk', 'hh', 'hhs', 'bullen')\n")),
+    ("bound", "--theorem", "se2", *BOUND_X2, "--zz", "1"): ("err", BOUND_USAGE + (
+        "sconvexlab bound: error: unrecognized arguments: --zz 1\n")),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_TEXT, ids=" ".join)
+def test_golden_help_and_usage_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    stream, text = GOLDEN_TEXT[argv]
+    assert dispatch(list(argv)) == (0 if stream == "out" else 2)
+    captured = capsys.readouterr()
+    assert {"out": captured.out, "err": captured.err} == {"out": "", "err": "", stream: text}
 
 
 # Each command's options, with values they accept.
@@ -649,11 +716,15 @@ class TestDirectParse:
     def test_outcomes_match_the_top_level_route(self, capsys, monkeypatch, tmp_path):
         calls = self._calls(tmp_path)
         direct = [_outcome(capsys, argv) for argv in calls]
-        # With no command known, dispatch parses every argv with the
-        # top-level parser, as build_parser().parse_args(argv) does.
-        parser = build_parser()
-        parser.commands = {}
-        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        # With no plain line read and no command known, dispatch parses every
+        # argv with the top-level parser, as build_parser().parse_args(argv) does.
+        def top_level_parser():
+            parser = build_parser()
+            parser.commands = {}
+            return parser
+
+        monkeypatch.setattr(cli, "_quick_parse", lambda name, argv: None)
+        monkeypatch.setattr(cli, "build_parser", top_level_parser)
         top_level = [_outcome(capsys, argv) for argv in calls]
         assert direct == top_level
         assert {code for code, _, _ in direct} == {0, 2}
@@ -666,21 +737,29 @@ class TestDirectParse:
         assert "sconvexlab bound: error: unrecognized arguments: --zz 1\n" in captured.err
 
     def test_each_call_parses_once(self, capsys, monkeypatch, tmp_path):
-        """A plain command line never reaches argparse; any other argv of a
-        known command is parsed once, by that command's parser."""
-        parsed = []
-        parse_known_args = argparse.ArgumentParser.parse_known_args
+        """A plain command line never reaches argparse, which builds no
+        parser for it; any other argv builds one parser and is parsed once,
+        a known command's by that command's parser."""
+        parsed, built = [], []
+        parse_known_args, init = argparse.ArgumentParser.parse_known_args, argparse.ArgumentParser.__init__
 
         def counted(self, *args, **kwargs):
             parsed.append(self.prog)
             return parse_known_args(self, *args, **kwargs)
 
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        # The progs of one parser: the top-level parser and each command's.
+        one_parser = ["sconvexlab", *(f"sconvexlab {name}" for name in cli.COMMANDS)]
         # A valid call of each command, and a negative number as a value.
         for argv in [*self._calls(tmp_path)[:5], ["means", "--a", "1", "--b", "3", "--p", "-2.5"]]:
-            parsed.clear()
+            del parsed[:], built[:]
             assert dispatch(argv) == 0
-            assert parsed == []
+            assert parsed == built == []
         # --opt=value, an abbreviated option, a repeated option, and a value
         # starting with "-" that argparse does not read as a negative number.
         for argv, code in (
@@ -689,14 +768,16 @@ class TestDirectParse:
             (["means", "--a", "1", "--a", "2", "--b", "3"], 0),
             (["means", "--a", "1", "--b", "3", "--p", "-1e-3"], 2),
         ):
-            parsed.clear()
+            del parsed[:], built[:]
             assert dispatch(argv) == code
             assert parsed == [f"sconvexlab {argv[0]}"]
+            assert built == one_parser
         # Help and an unknown command go through the top-level parser.
         for argv, code in ((["--help"], 0), (["nonsense"], 2)):
-            parsed.clear()
+            del parsed[:], built[:]
             assert dispatch(argv) == code
             assert parsed == ["sconvexlab"]
+            assert built == one_parser
 
     @settings(max_examples=300, deadline=None)
     @given(call=st.data())
@@ -713,10 +794,10 @@ class TestDirectParse:
             at = call.draw(st.integers(0, len(argv)))
             token = call.draw(st.sampled_from(QUICK_TOKENS))
             argv[at:at + call.draw(st.integers(0, 1))] = [token]
-        parser = cli._parser().commands[command]
-        quick = cli._quick_parse(parser, argv)
+        quick = cli._quick_parse(command, argv)
         if quick is not None:
             # repr, so that nan equals nan and -0.0 differs from 0.0.
+            parser = build_parser().commands[command]
             expected = {name: repr(value) for name, value in vars(parser.parse_args(argv)).items()}
             assert {name: repr(value) for name, value in vars(quick).items()} == expected
 

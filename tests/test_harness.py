@@ -26,7 +26,7 @@ from sconvexlab.harness import (
     render_csv,
     render_json,
     report_to_dict,
-    run_bound_suite,
+    run_bound_suites,
     run_identity_suite,
     run_prop_crosscheck_suite,
     run_reduction_suite,
@@ -83,14 +83,14 @@ class TestIdentitySuite:
 class TestBoundSuites:
     @pytest.mark.parametrize("theorem", THEOREMS, ids=str.upper)
     def test_no_violations(self, theorem):
-        report = run_bound_suite(SuiteConfig(seed=11, cases=25), theorem)
+        report = run_bound_suites(SuiteConfig(seed=11, cases=25), (theorem,))[0]
         assert report.violations == (), f"{theorem}: {report.violations}"
         assert report.suite_id == f"bounds:{theorem}"
         assert report.skipped == 0
 
     def test_unknown_theorem(self):
         with pytest.raises(DomainError):
-            run_bound_suite(CFG, "SE9000")
+            run_bound_suites(CFG, ("SE9000",))
 
     @pytest.mark.parametrize("theorem", THEOREMS, ids=str.upper)
     def test_a_weakened_bound_fails(self, monkeypatch, theorem):
@@ -107,12 +107,12 @@ class TestBoundSuites:
             lhs, rhs = th.sides(f, a, b, s, q)
             return lhs, rhs * (1.0 - eps)
 
-        assert run_bound_suite(cfg, theorem).violations == ()
+        assert run_bound_suites(cfg, (theorem,))[0].violations == ()
         monkeypatch.setitem(THEOREMS, theorem, th._replace(sides=scaled))
-        assert len(run_bound_suite(cfg, theorem).violations) >= 1
+        assert len(run_bound_suites(cfg, (theorem,))[0].violations) >= 1
 
     def test_hhs_sharp_case_leads(self):
-        report = run_bound_suite(SuiteConfig(seed=3, cases=5), "HHS")
+        report = run_bound_suites(SuiteConfig(seed=3, cases=5), ("HHS",))[0]
         first = report.rows[0]
         assert (first.a, first.b, first.s) == (0.0, 1.0, 0.5)
         # right-inequality equality: the margin sits at numerical zero
@@ -121,11 +121,11 @@ class TestBoundSuites:
     def test_skip_accounting_and_all_skipped_failure(self, monkeypatch):
         monkeypatch.setattr(funcmodel, "prove_hypothesis", lambda *a, **k: None)
         with pytest.raises(SuiteError):
-            run_bound_suite(SuiteConfig(seed=1, cases=3), "SE2")
+            run_bound_suites(SuiteConfig(seed=1, cases=3), ("SE2",))
 
     def test_partial_skip_counted(self, monkeypatch):
         cfg = SuiteConfig(seed=1, cases=4)
-        evaluated = {th: run_bound_suite(cfg, th).rows[0] for th in THEOREMS}
+        evaluated = {th: run_bound_suites(cfg, (th,))[0].rows[0] for th in THEOREMS}
         calls = {"i": 0}
 
         def flaky(real):
@@ -140,7 +140,7 @@ class TestBoundSuites:
         monkeypatch.setattr(funcmodel, "prove_hypothesis", flaky(funcmodel.prove_hypothesis))
         for theorem in THEOREMS:
             calls["i"] = 0
-            report = run_bound_suite(cfg, theorem)
+            report = run_bound_suites(cfg, (theorem,))[0]
             assert report.skipped == 1, theorem
             skipped, full = report.rows[0], evaluated[theorem]
             assert skipped.status == "skipped"
@@ -154,13 +154,13 @@ class TestBoundSuites:
         ["se6", "hhs", "s1", "adk", "se2"],
     ], ids=["registry", "reversed", "subset"])
     def test_a_shared_run_gives_each_theorem_its_own_rows(self, order):
-        """run_bound_suites gives each theorem the report run_bound_suite
-        gives it alone, whichever theorems share the run and in any order."""
+        """run_bound_suites gives each theorem the report a run of that
+        theorem alone gives, whichever theorems share the run and in any order."""
         cfg = SuiteConfig(seed=7331, cases=200)
         shared = harness.run_bound_suites(cfg, order)
         assert [r.suite_id for r in shared] == [f"bounds:{theorem}" for theorem in order]
         for theorem, report in zip(order, shared):
-            alone = run_bound_suite(cfg, theorem)
+            alone = run_bound_suites(cfg, (theorem,))[0]
             # repr, field by field, so that -0.0 differs from 0.0 and nan equals nan.
             assert [list(map(repr, row)) for row in report.rows] == [list(map(repr, row)) for row in alone.rows]
             assert repr(report._replace(runtime_ms=0.0)) == repr(alone._replace(runtime_ms=0.0)), theorem
@@ -169,7 +169,7 @@ class TestBoundSuites:
         """Seed 7331 over 200 cases, the configuration above, holds the hhs
         sharp case 0 and both outcomes of the s-term swap."""
         cfg = SuiteConfig(seed=7331, cases=200)
-        first = run_bound_suite(cfg, "hhs").rows[0]
+        first = run_bound_suites(cfg, ("hhs",))[0].rows[0]
         assert (first.a, first.b, first.s) == (0.0, 1.0, 0.5)
         swapped = set()
         for i in range(cfg.cases):
@@ -196,7 +196,7 @@ class TestProofCoverage:
         for seed in (1, 2, 3, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:
-                assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
+                assert run_bound_suites(cfg, (theorem,))[0].skipped == 0, (seed, theorem)
 
     def test_no_bound_suite_integrates_numerically(self, monkeypatch):
         """Every instance family is a power sum, whose integral mean is exact
@@ -209,7 +209,7 @@ class TestProofCoverage:
         for seed in (1, 42, 7331):
             cfg = SuiteConfig(seed=seed, cases=200)
             for theorem in THEOREMS:
-                assert run_bound_suite(cfg, theorem).skipped == 0, (seed, theorem)
+                assert run_bound_suites(cfg, (theorem,))[0].skipped == 0, (seed, theorem)
 
 
 class TestReductionSuite:
