@@ -16,27 +16,21 @@ Four suites:
                 the documented sign discrepancy of the printed
                 reciprocal-family bound.
 
+Every suite runs in one case loop, _run, which seeds, times and reports.
 Case i draws everything from one generator, random.Random((seed << 32) | i),
-so parallel and serial runs would agree, identical configs produce
-identical reports, and no two (seed, case) pairs share a sub-seed.  The
-bound suites run case by case (run_bound_suites): a case is seeded once,
-and its theorems share its s and q and the instance of each family they
-draw from, drawn from the generator state that follows s and q, so a
-theorem's rows are the same whichever theorems share its run.
+so identical configs produce identical reports, and no two (seed, case)
+pairs share a sub-seed.  Each suite is its setup plus a per-case generator
+that yields the case's rows to _run.
 
 SuiteConfig and SuiteReport are named tuples; SuiteConfig checks its
 fields in __new__, which _make and _replace skip, so nothing calls those
-two.
+two on a SuiteConfig.
 
-Report rows are CaseRow named tuples whose fields are the CSV columns
-after "suite", in column order.  One generator renders the CSV report,
-one string per case, for render_csv, for write_report, which streams it
-to the file, and for `verify --format csv`, which streams it to stdout:
-None as an empty field, any other cell as str (a float's repr), and no
-quoting, since no suite id, row id or status holds a comma, a quote or a
-line break.  A cell holding the same object as the cell above it reuses
-that cell's text, so the a, b, s, q and lhs a case's rows share are
-formatted once.
+Report rows are CaseRow named tuples, one per CSV line.  One generator,
+_csv_lines, renders the CSV report case by case for render_csv, for
+write_report, which streams it to the file, and for `verify --format csv`,
+which streams it to stdout; no cell is quoted, since no suite id, row id
+or status holds a comma, a quote or a line break.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -137,31 +131,37 @@ class SuiteReport(NamedTuple):
     runtime_ms: float
 
 
-def _finish(suite_id: str, cfg: SuiteConfig, rows: list[CaseRow], notes: list[str], seconds: float) -> SuiteReport:
-    evaluated = [r for r in rows if r.status != "skipped"]
-    skipped = len(rows) - len(evaluated)
-    if not evaluated:
-        raise SuiteError(f"suite {suite_id}: every case was skipped; nothing was verified")
-    violations = tuple(r for r in evaluated if r.status == "violation")
-    warnings = sum(1 for r in evaluated if r.status == "warning")
-    worst = min(r.margin for r in evaluated)
-    return SuiteReport(
-        suite_id=suite_id,
-        seed=cfg.seed,
-        cases_run=cfg.cases,
-        skipped=skipped,
-        rows=tuple(rows),
-        violations=violations,
-        warnings=warnings,
-        worst_margin=worst,
-        notes=tuple(notes),
-        runtime_ms=seconds * 1000.0,
-    )
-
-
 def _case_rng(cfg: SuiteConfig, i: int) -> random.Random:
     """Case i's one generator; its sub-seed is unique to (seed, i) for i < 2^32."""
     return random.Random((cfg.seed << 32) | i)
+
+
+def _run(cfg: SuiteConfig, suite_ids, case) -> list[SuiteReport]:
+    """One report per suite id, in order.  For each case i in turn,
+    case(i, _case_rng(cfg, i)) yields (j, rows): rows for report j, which
+    is charged the time since the previous yield.  So runtime_ms counts a
+    report's rows and the seeding and draws it was the first to need.
+    Raises SuiteError for a suite whose every case was skipped."""
+    rows: list[list[CaseRow]] = [[] for _ in suite_ids]
+    seconds = [0.0] * len(suite_ids)
+    t = time.perf_counter()
+    for i in range(cfg.cases):
+        for j, case_rows in case(i, _case_rng(cfg, i)):
+            rows[j] += case_rows
+            now = time.perf_counter()
+            seconds[j] += now - t
+            t = now
+    reports = []
+    for suite_id, suite_rows, sec in zip(suite_ids, rows, seconds):
+        evaluated = [r for r in suite_rows if r.status != "skipped"]
+        if not evaluated:
+            raise SuiteError(f"suite {suite_id}: every case was skipped; nothing was verified")
+        violations = tuple(r for r in evaluated if r.status == "violation")
+        warnings = sum(1 for r in evaluated if r.status == "warning")
+        worst = min(r.margin for r in evaluated)
+        reports.append(SuiteReport(suite_id, cfg.seed, cfg.cases, len(suite_rows) - len(evaluated),
+                                   tuple(suite_rows), violations, warnings, worst, (), sec * 1000.0))
+    return reports
 
 
 def _bound_row(case: int, theorem: str, a: float, b: float, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
@@ -177,15 +177,15 @@ def _match_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: f
 
 def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
     """Signed defect versus the weighted derivative integrals, case by case."""
-    t0 = time.perf_counter()
     tol = cfg.tol_or(_IDENTITY_TOL)
-    rows: list[CaseRow] = []
-    for i in range(cfg.cases):
-        f, iv = sample_dconvex_instance(_case_rng(cfg, i), _GEN)
+
+    def case(i, rng):
+        f, iv = sample_dconvex_instance(rng, _GEN)
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
-        rows.append(_match_row(i, "identity", iv, None, None, lhs, rhs, tol))
-    return _finish("identity", cfg, rows, [], time.perf_counter() - t0)
+        yield 0, (_match_row(i, "identity", iv, None, None, lhs, rhs, tol),)
+
+    return _run(cfg, ("identity",), case)[0]
 
 
 def _convex_f_instance(rng: random.Random) -> tuple[FuncHandle, OrderedInterval]:
@@ -221,7 +221,7 @@ def _s_power_instance(rng: random.Random, s: float) -> tuple[FuncHandle, float, 
 
 def _sconvex_term_instance(rng: random.Random, s: float) -> tuple[FuncHandle, OrderedInterval]:
     """f' = c x^s, drawn only when s * k >= 1 (k = q for "|f'|^q", else 1):
-    c^k x^(s k) is then convex as well as s-convex (ROADMAP item 2)."""
+    c^k x^(s k) is then convex as well as s-convex (ROADMAP item 5)."""
     c = rng.uniform(0.1, 2.0)
     f = PowerSum([(c, s)]).antiderivative()
     return handle_from_power_sum(f), sample_interval(rng, _GEN)
@@ -266,13 +266,10 @@ def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
     asserted over generated instances, and a case skipped when
     funcmodel.check_hypothesis finds no rule that proves its hypothesis.
 
-    Cases run in order, and within a case the theorems in the order given.
-    Case i is seeded once, with _case_rng, and draws s and q; each family
-    (_family) its theorems need is then drawn once, from the generator
-    state that followed s and q, so each row is the one its theorem's run
-    alone gives.  Nothing but the rows outlives its case.  A report's
-    runtime_ms counts its theorem's rows, and the seeding and draws that
-    theorem was the first to need.
+    A case draws s and q.  Each family (_family) its theorems need is drawn
+    once, when a theorem first needs it, from the generator state that
+    followed s and q, so a theorem's rows are the same whichever theorems
+    share its run.  Each theorem yields its row as soon as it has it.
     """
     ths = []
     for theorem in theorems:
@@ -283,12 +280,8 @@ def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
     tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     # Each theorem's family at each (s, q) a case can draw.
     plans = {(s, q): [_family(th, s, q) for th in ths] for s in _S_GRID for q in _Q_GRID}
-    rows: list[list[CaseRow]] = [[] for _ in ths]
-    seconds = [0.0] * len(ths)
 
-    for i in range(cfg.cases):
-        t = time.perf_counter()
-        rng = _case_rng(cfg, i)
+    def case(i, rng):
         s = rng.choice(_S_GRID)
         q = rng.choice(_Q_GRID)
         families = plans[s, q]
@@ -305,25 +298,19 @@ def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
             q_row = q if th.uses_q else None
             s_cert = s_case if th.takes_s else 1.0
             if check_hypothesis(f, th.hypothesis, s_cert, q, th.concave) is None:
-                rows[j].append(CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"))
+                yield j, (CaseRow(i, th.id, a, b, s_row, q_row, None, None, None, "skipped"),)
             else:
                 lhs, rhs = th.sides(f, a, b, s_case, q)
-                rows[j].append(_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, tol))
-            now = time.perf_counter()
-            seconds[j] += now - t
-            t = now
+                yield j, (_bound_row(i, th.id, a, b, s_row, q_row, lhs, rhs, tol),)
 
-    return [_finish(f"bounds:{th.id}", cfg, th_rows, [], sec)
-            for th, th_rows, sec in zip(ths, rows, seconds)]
+    return _run(cfg, [f"bounds:{th.id}" for th in ths], case)
 
 
 def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
     """The four algebraic collapses, as relative discrepancies on random data."""
-    t0 = time.perf_counter()
     tol = cfg.tol_or(_REDUCTION_TOL)
-    rows: list[CaseRow] = []
-    for i in range(cfg.cases):
-        rng = _case_rng(cfg, i)
+
+    def case(i, rng):
         iv = sample_interval(rng, _GEN)
         df_a = rng.uniform(0.0, 3.0)
         df_b = rng.uniform(0.0, 3.0)
@@ -336,12 +323,15 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
             ("se6_s1_vs_s3", 1.0, q, bound_se6(df_a, df_b, iv, 1.0, q), bound_s3(df_a, df_b, iv, q)),
             ("se6_q1_vs_se2", s, 1.0, bound_se6(df_a, df_b, iv, s, 1.0), bound_se2(df_a, df_b, iv, s)),
         ]
+        rows = []
         for name, s_row, q_row, lhs, rhs in pairs:
             scale = max(abs(lhs), abs(rhs))
             rel = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
             status = "ok" if rel <= tol else "violation"
             rows.append(CaseRow(i, name, iv.a, iv.b, s_row, q_row, lhs, rhs, -rel, status))
-    return _finish("reductions", cfg, rows, [], time.perf_counter() - t0)
+        yield 0, rows
+
+    return _run(cfg, ("reductions",), case)[0]
 
 
 def _quadrature_oracle(c: float, p: float) -> FuncHandle:
@@ -354,7 +344,6 @@ def _quadrature_oracle(c: float, p: float) -> FuncHandle:
 
 def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
     """Mean-expressed defects against quadrature, and proposition dominance."""
-    t0 = time.perf_counter()
     tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     # Per family: its cross-check row id, mean-form defect, endpoint |f'|,
     # propositions as (id, whether the row carries q, bound), and for each s
@@ -374,14 +363,13 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
              lambda s: (1.0 / (1.0 - s), 1.0 - s)),
         )
     ]
-    rows: list[CaseRow] = []
-    negation_hits = 0
-    printed_negative = 0
-    for i in range(cfg.cases):
-        rng = _case_rng(cfg, i)
+    negation_hits = printed_negative = 0
+
+    def case(i, rng):
+        nonlocal negation_hits, printed_negative
         iv = sample_interval(rng, _GEN)
         q = rng.choice(_Q_GRID)
-
+        rows = []
         for xcheck, prop_lhs, family_df, props, oracles in families:
             for s, oracle in oracles:
                 defect = bullen_type_defect(oracle, iv)
@@ -398,14 +386,15 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
             negation_hits += 1
         if disc.printed_rhs < disc.substitution_rhs:
             printed_negative += 1
+        yield 0, rows
 
-    notes = [
+    report = _run(cfg, ("props",), case)[0]
+    return report._replace(notes=(
         "se4 as-printed bound: second term is the exact negative of the substitution "
         f"form on {negation_hits}/{cfg.cases} sampled cases "
         f"({printed_negative}/{cfg.cases} printed values fall below the substitution bound); "
-        "the printed form is reported for documentation and never asserted."
-    ]
-    return _finish("props", cfg, rows, notes, time.perf_counter() - t0)
+        "the printed form is reported for documentation and never asserted.",
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,23 @@ def gen_log_mean_pow(iv: OrderedInterval, p: float) -> float:
 def gen_log_mean(iv: OrderedInterval, p: float) -> float:
     """The generalized logarithmic mean L_p; lies strictly between a and b.
 
-    Known exceptions (ROADMAP item 3), where the float value reaches an
-    endpoint or passes it: a tiny |p| (a = 1, b = 3, p = 1e-300 gives 1),
-    and the float root ^(1/p) or the direct quotient on an interval with
-    b/a - 1 near or below sqrt(eps) (a = 1, b = 1.0000000001, p = 1 gives
-    1).  Raises DomainError when L_p^p rounds to 0 and p < 0 (a one-ulp
+    For 0 < |p| <= 1e-2, where the root ^(1/p) would magnify the rounding
+    of L_p^p, L_p = exp(log1p(n / ((p+1)(b-a))) / p), n = b expm1(p ln b) -
+    a expm1(p ln a) - p (b - a), with |p| below 1e-200 taken as 1e-200 (L_p
+    moves far less than an ulp; p ln b stays normal).  Elsewhere, or where
+    n overflows or (p+1)(b-a) is not normal, L_p = (L_p^p)^(1/p).  Known
+    exceptions (ROADMAP item 6), where the float value reaches an endpoint
+    or passes it: the float root or the direct quotient when b/a - 1 is
+    near or below sqrt(eps) (a = 1, b = 1.0000000001, p = 1 gives 1).
+    Raises DomainError when L_p^p rounds to 0 and p < 0 (a one-ulp
     interval can do this), since 0 has no negative power.
     """
+    if 0.0 < abs(p) <= 1e-2:
+        a, b, r = iv.a, iv.b, math.copysign(max(abs(p), 1e-200), p)
+        n = b * math.expm1(r * math.log(b)) - a * math.expm1(r * math.log(a)) - r * (b - a)
+        den = (r + 1.0) * (b - a)
+        if math.isfinite(n) and den >= _NORMAL_MIN:
+            return math.exp(math.log1p(n / den) / r)
     value = gen_log_mean_pow(iv, p)
     if value == 0.0 and p < 0.0:
         raise DomainError(f"L_p^p rounds to 0 on [{iv.a}, {iv.b}] for p={p}, so L_p = 0^(1/p) is undefined")

@@ -223,6 +223,14 @@ class TestCommands:
         assert lines[2:] == ["L_p^p 3.71152094157667e-78", "L_p 1.57158645165284e-233"]
         assert float(a) <= float(lines[3].split()[1]) <= float(b)
 
+    @pytest.mark.parametrize("p", [["--p", "1e-300"], ["--p=-1e-300"]], ids=["1e-300", "-1e-300"])
+    def test_gen_log_mean_at_a_tiny_p_is_the_identric_mean(self, capsys, p):
+        # L_p^p rounds to 1; L_p tends to the identric mean
+        # (b^b / a^a)^(1 / (b - a)) / e = 27^(1/2) / e as p -> 0.  argparse
+        # reads -1e-300 after a space as an option, so it follows "=".
+        assert dispatch(["means", "--a", "1", "--b", "3", *p]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1", "L_p 1.91155764950695"]
+
     def test_arithmetic_mean_of_subnormals(self, capsys):
         # (a + b) / 2 is 1.5 steps of 5e-324; it rounds to even, 1e-323.
         # Halving each endpoint first rounds 2.5e-324 down to 0 and gave 5e-324.
@@ -304,7 +312,10 @@ class TestVerifyCommand:
         # including the s-term swap and the sharp case of the s-power family.
         (["--suite", "bounds", "--cases", "200", "--seed", "7331"], 0,
          "f43f3677d1b2742decd8c953a2065eb9637f77c0357eca80e10ae1b89c6f354e"),
-    ], ids=["tol-override", "bound-families"])
+        # The seed-42 report that every refactor must leave byte for byte.
+        (["--suite", "all", "--cases", "1000", "--seed", "42"], 0,
+         "9073ad3d747829542f3d8df5cde314d86e36989e764d4a38c2eafa04f79ee8e6"),
+    ], ids=["tol-override", "bound-families", "seed-42-oracle"])
     def test_golden_report_digest_more(self, tmp_path, capsys, extra, code, digest):
         out = tmp_path / "report.csv"
         assert dispatch(["verify", *extra, "--format", "csv", "--out", str(out)]) == code

@@ -188,6 +188,19 @@ class TestBoundSuites:
         cli._run_suites("bounds", SuiteConfig(seed=1, cases=7))
         assert seeded == list(range(7))
 
+    def test_every_suite_seeds_each_case_once(self, monkeypatch):
+        """verify --suite all seeds cases 0-6 once per suite, in report order:
+        identity, bounds, reductions, props."""
+        seeded = []
+        real = harness._case_rng
+        monkeypatch.setattr(harness, "_case_rng", lambda cfg, i: seeded.append(i) or real(cfg, i))
+        runners = ("run_identity_suite", "run_bound_suites", "run_reduction_suite", "run_prop_crosscheck_suite")
+        for name in runners:
+            run = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, run=run, name=name: seeded.append(name) or run(*args))
+        cli._run_suites("all", SuiteConfig(seed=1, cases=7))
+        assert seeded == [x for name in runners for x in (name, *range(7))]
+
 
 class TestProofCoverage:
     def test_every_generated_case_is_proved(self):

@@ -4,6 +4,7 @@ import decimal
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -291,6 +292,21 @@ class TestGenLogMean:
             lhs = gen_log_mean(OrderedInterval(lam * a, lam * b), p)
             rhs = lam * gen_log_mean(OrderedInterval(a, b), p)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (0.25, 4.0), (2.0, 2.1), (1e-3, 1e3)])
+    def test_small_p_matches_a_high_precision_reference(self, a, b):
+        """Within 1e-13 of ((b^(p+1) - a^(p+1)) / ((p+1)(b-a)))^(1/p) at 400
+        digits, enough to resolve L_p^p - 1 at p = 1e-300 and at the
+        subnormal p = 5e-324.  The float root (L_p^p)^(1/p) gives 1 at
+        p = 1e-300 and is off by 6e-4 at p = 1e-12 on [1e-3, 1e3]."""
+        with mpmath.workdps(400):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            for magnitude in (5e-324, 1e-300, 1e-12, 1e-8, 1e-5, 1e-3):
+                for p in (magnitude, -magnitude):
+                    k = mpmath.mpf(p) + 1
+                    exact = ((mb ** k - ma ** k) / (k * (mb - ma))) ** (1 / mpmath.mpf(p))
+                    value = gen_log_mean(OrderedInterval(a, b), p)
+                    assert abs(value - exact) <= 1e-13 * exact, (a, b, p)
 
     def test_continuity_at_collapsing_interval(self):
         for a in (0.5, 1.0, 2.0, 7.5):
