@@ -42,9 +42,13 @@ parser build_parser() generates from the table, and a known command's
 arguments are parsed once, by the command's own parser, so an
 unrecognized-arguments error prints the command's usage line; the
 top-level parser serves only help, an empty argv and an unknown command.
-argparse alone prints help and usage errors.  sweep evaluates a theorem
-that takes no s once and repeats its line at every grid point; no report
-is written through csv.
+argparse alone prints help and usage errors.  A negative number, exponent
+notation included, may follow its option after a space ("--p -1e-300"):
+the plain-line reader and every parser read it with one pattern.  sweep
+evaluates a theorem that takes no s once and repeats its line at every grid
+point; no report is written through csv.  verify and sweep write an --out
+file with outfile.write_text: an existing file is overwritten in place and
+then cut to length, never truncated first.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
@@ -65,6 +69,7 @@ from .errors import EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
+from .outfile import write_text
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The grammar's tokens, keyed by the name a ParseError gives as expected.
@@ -73,9 +78,11 @@ _TOKEN = {
     **{f"'{c}'": re.compile(re.escape(c)) for c in "*x^+"},
 }
 _WS = re.compile(r"\s*")
-# What argparse takes for a negative number, not an option, in a parser
-# that has no option looking like one (its own pattern).
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# What a parser with no option looking like a negative number takes for a
+# negative number, not an option: any negative decimal literal, exponent
+# included.  build_parser gives it to every parser it makes, in place of
+# argparse's own pattern, which has no exponent.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 # One term with the whitespace around it and the "+" after it (or the end of
 # the text), captured whole, with its coefficient and exponent.
 _TERM = re.compile(rf"(\s*({_NUMBER})\s*(?:\*\s*x\s*\^\s*({_NUMBER})\s*)?(?:\+(?!\s*\Z)|\Z))")
@@ -274,8 +281,8 @@ def _cmd_sweep(args) -> int:
         # The report does not depend on s: one evaluation serves every point.
         rows = [evaluate_bound(args.theorem, f, iv, q=args.q)] * len(s_values)
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("theorem,a,b,s,q,lhs,rhs,margin,holds\n")
+    def lines():
+        yield "theorem,a,b,s,q,lhs,rhs,margin,holds\n"
         above = None
         for r in rows:
             if r is not above:  # a repeated report repeats its line
@@ -284,7 +291,9 @@ def _cmd_sweep(args) -> int:
                 q = "" if r.q is None else r.q
                 line = (f"{r.theorem_id},{r.a},{r.b},{s},{q},{r.lhs},{r.rhs},{r.margin},"
                         f"{'true' if r.holds else 'false'}\n")
-            fh.write(line)
+            yield line
+
+    write_text(args.out, lines())
     violations = sum(not r.holds for r in rows)
     print(
         f"sweep {args.theorem}: {len(rows)} points, violations {violations}, "
@@ -322,9 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sconvexlab",
         description="Verification laboratory for integral inequalities with s-convex derivative data.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(func=func)
         for flag, (kind, default, help) in options.items():
             choices = kind if isinstance(kind, tuple) else None

@@ -73,6 +73,7 @@ from .bounds import (
     verdict,
 )
 from .means_bounds import FAMILY_DF, PROPOSITIONS, prop_power_lhs, prop_recip_lhs, se4_discrepancy
+from .outfile import write_text
 
 # The s and q values cases draw from, and the instance sampler's settings.
 _S_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -473,12 +474,13 @@ def render_csv(reports) -> str:
 
 
 def write_report(reports, path: str, fmt: str = "json"):
-    """Write a JSON or CSV report to path; a CSV report is streamed."""
+    """Write a JSON or CSV report to path; a CSV report is streamed.  An
+    existing file at path is overwritten in place and then cut to length
+    (outfile.write_text), never truncated first."""
     if fmt == "json":
         chunks = (render_json(reports),)
     elif fmt == "csv":
         chunks = _csv_lines(reports)
     else:
         raise DomainError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    write_text(path, chunks)

@@ -223,11 +223,12 @@ class TestCommands:
         assert lines[2:] == ["L_p^p 3.71152094157667e-78", "L_p 1.57158645165284e-233"]
         assert float(a) <= float(lines[3].split()[1]) <= float(b)
 
-    @pytest.mark.parametrize("p", [["--p", "1e-300"], ["--p=-1e-300"]], ids=["1e-300", "-1e-300"])
+    @pytest.mark.parametrize("p", [["--p", "1e-300"], ["--p=-1e-300"], ["--p", "-1e-300"]],
+                             ids=["1e-300", "-1e-300", "spaced--1e-300"])
     def test_gen_log_mean_at_a_tiny_p_is_the_identric_mean(self, capsys, p):
         # L_p^p rounds to 1; L_p tends to the identric mean
-        # (b^b / a^a)^(1 / (b - a)) / e = 27^(1/2) / e as p -> 0.  argparse
-        # reads -1e-300 after a space as an option, so it follows "=".
+        # (b^b / a^a)^(1 / (b - a)) / e = 27^(1/2) / e as p -> 0.  A negative
+        # value in exponent notation may follow its option after a space.
         assert dispatch(["means", "--a", "1", "--b", "3", *p]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == ["L_p^p 1", "L_p 1.91155764950695"]
 
@@ -665,7 +666,7 @@ def test_golden_help_and_usage_text(capsys, monkeypatch, argv):
 _AB = {"--a": ["1", "1.5", "nan"], "--b": ["3", "1e308", "1_0"]}
 _THEOREM = {"--theorem": ["se2", "pp"], "--f": ["1*x^2", ""], **_AB, "--q": ["2", "-0"]}
 QUICK_OPTIONS = {
-    "means": {**_AB, "--p": ["2", "0.5", "-2.5"]},
+    "means": {**_AB, "--p": ["2", "0.5", "-2.5", "-1e-300"]},
     "defect": {"--f": ["1*x^2", ""], **_AB},
     "bound": {**_THEOREM, "--s": ["0.5", "inf"]},
     "verify": {"--suite": ["all", "props"], "--cases": ["3", "1_0"], "--seed": ["7", "-7"], "--tol": ["1e-9"],
@@ -678,7 +679,7 @@ QUICK_OPTIONS = {
 QUICK_TOKENS = sorted({token for options in QUICK_OPTIONS.values() for flag, values in options.items()
                        for token in (flag, *values)} | {
     "--the", "--s-g", "--cas", "--form", "--su", "--a=1", "--b=3", "--theorem=se2", "--suite=all", "--f=1*x^2",
-    "-h", "--help", "--", "-2.5", "-1e-3", "-x", "", "se99", "bogus", "1.5.2", " 2 ", "--zz",
+    "-h", "--help", "--", "-2.5", "-1e-3", "-.5E+2", "-1e", "-x", "", "se99", "bogus", "1.5.2", " 2 ", "--zz",
 })
 
 
@@ -766,18 +767,19 @@ class TestDirectParse:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
         # The progs of one parser: the top-level parser and each command's.
         one_parser = ["sconvexlab", *(f"sconvexlab {name}" for name in cli.COMMANDS)]
-        # A valid call of each command, and a negative number as a value.
-        for argv in [*self._calls(tmp_path)[:5], ["means", "--a", "1", "--b", "3", "--p", "-2.5"]]:
+        # A valid call of each command, and negative numbers as values.
+        for argv in [*self._calls(tmp_path)[:5], ["means", "--a", "1", "--b", "3", "--p", "-2.5"],
+                     ["means", "--a", "1", "--b", "3", "--p", "-1e-3"]]:
             del parsed[:], built[:]
             assert dispatch(argv) == 0
             assert parsed == built == []
         # --opt=value, an abbreviated option, a repeated option, and a value
-        # starting with "-" that argparse does not read as a negative number.
+        # starting with "-" that is no negative number.
         for argv, code in (
             (["bound", "--theorem=se5", *BOUND_X2, "--s=0.5", "--q=2"], 0),
             (["bound", "--the", "se2", *BOUND_X2, "--s", "0.5"], 0),
             (["means", "--a", "1", "--a", "2", "--b", "3"], 0),
-            (["means", "--a", "1", "--b", "3", "--p", "-1e-3"], 2),
+            (["means", "--a", "1", "--b", "3", "--p", "-inf"], 2),
         ):
             del parsed[:], built[:]
             assert dispatch(argv) == code
