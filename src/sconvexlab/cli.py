@@ -47,8 +47,9 @@ notation included, may follow its option after a space ("--p -1e-300"):
 the plain-line reader and every parser read it with one pattern.  sweep
 evaluates a theorem that takes no s once and repeats its line at every grid
 point; no report is written through csv.  verify and sweep write an --out
-file with outfile.write_text: an existing file is overwritten in place and
-then cut to length, never truncated first.
+file with write_text (harness.write_report imports it from here): an
+existing file is overwritten in place and then cut to length, never
+truncated first.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
@@ -62,14 +63,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
+import stat
 import sys
 
 from .errors import EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
-from .outfile import write_text
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The grammar's tokens, keyed by the name a ParseError gives as expected.
@@ -269,6 +271,35 @@ def _parse_grid(text: str) -> list[float]:
             raise LabError(f"grid argument {text!r} has more than {_GRID_MAX_POINTS} points")
         k += 1
     return values
+
+
+def _open_in_place(path, flags):
+    # open's own "w" flags (O_WRONLY | O_CREAT | O_CLOEXEC ...) and its
+    # default mode, without the truncation.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_text(path, chunks) -> None:
+    """Write the strings chunks yields to path, UTF-8 with no newline
+    translation, leaving the file exactly as long as what was written.
+
+    open(path, "w") truncates an existing file to length 0 first, and on
+    ext4 a file truncated to 0 and then rewritten has its writeback started
+    when it is closed (the auto_da_alloc heuristic), which makes a small
+    rewrite several times slower than writing the same bytes in place.  So
+    an existing regular file is overwritten in place and cut to length
+    afterwards, also when chunks or a write raises: the file then holds
+    the text written before the raise.  Anything else at path (a FIFO, a
+    device such as os.devnull) is written to and never cut.  Without the
+    truncate to 0, no writeback starts at close either, so a system crash
+    soon after can leave the file at its new length holding old bytes.
+    """
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _cmd_sweep(args) -> int:

@@ -72,8 +72,8 @@ from .bounds import (
     lemma_identity_rhs,
     verdict,
 )
+from .cli import write_text
 from .means_bounds import FAMILY_DF, PROPOSITIONS, prop_power_lhs, prop_recip_lhs, se4_discrepancy
-from .outfile import write_text
 
 # The s and q values cases draw from, and the instance sampler's settings.
 _S_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -476,7 +476,7 @@ def render_csv(reports) -> str:
 def write_report(reports, path: str, fmt: str = "json"):
     """Write a JSON or CSV report to path; a CSV report is streamed.  An
     existing file at path is overwritten in place and then cut to length
-    (outfile.write_text), never truncated first."""
+    (cli.write_text), never truncated first."""
     if fmt == "json":
         chunks = (render_json(reports),)
     elif fmt == "csv":

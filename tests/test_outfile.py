@@ -7,8 +7,7 @@ import types
 import pytest
 
 from sconvexlab import harness
-from sconvexlab.cli import dispatch
-from sconvexlab.outfile import write_text
+from sconvexlab.cli import dispatch, write_text
 
 # Commands that write a report to {out}.
 REPORT_CALLS = {
