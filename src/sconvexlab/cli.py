@@ -57,6 +57,10 @@ other commands never compile either module.  That call binds the harness
 names verify uses into this module, keeping any already replaced here,
 and reading one of them from outside (cli.write_report, cli.run_bound_suites)
 binds them too, so the object read or replaced is the one verify calls.
+quadrature is imported by bounds.integrate on the first numerical
+integral, which only verify's identity and props suites make, and the
+token loop's patterns are compiled only when it runs: means, defect,
+bound, sweep and verify --suite bounds|reductions compile neither.
 """
 
 from __future__ import annotations
@@ -75,11 +79,11 @@ from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The grammar's tokens, keyed by the name a ParseError gives as expected.
-_TOKEN = {
-    "number": re.compile(_NUMBER),
-    **{f"'{c}'": re.compile(re.escape(c)) for c in "*x^+"},
-}
-_WS = re.compile(r"\s*")
+# They and _WS are pattern strings: only _parse_tokens uses them, and it
+# compiles each where it uses it (re caches the compiled pattern), so an
+# import or a well-formed text compiles none of them.
+_TOKEN = {"number": _NUMBER, **{f"'{c}'": re.escape(c) for c in "*x^+"}}
+_WS = r"\s*"
 # What a parser with no option looking like a negative number takes for a
 # negative number, not an option: any negative decimal literal, exponent
 # included.  build_parser gives it to every parser it makes, in place of
@@ -108,15 +112,16 @@ def parse_function_dsl(text: str) -> PowerSum:
 def _parse_tokens(text: str) -> PowerSum:
     """parse_function_dsl token by token: slower, but a malformed text
     raises a ParseError with the offset and the token expected there."""
-    pos = _WS.match(text).end()
+    ws = re.compile(_WS)
+    pos = ws.match(text).end()
 
     def take(expected: str) -> str:
         # Match the expected token at pos, then skip the whitespace after it.
         nonlocal pos
-        m = _TOKEN[expected].match(text, pos)
+        m = re.compile(_TOKEN[expected]).match(text, pos)
         if not m:
             raise ParseError(pos, expected)
-        pos = _WS.match(text, m.end()).end()
+        pos = ws.match(text, m.end()).end()
         return m.group()
 
     terms = []

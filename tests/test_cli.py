@@ -959,26 +959,61 @@ def _run_fresh(script, *args):
     return proc.stdout.splitlines()[-1]
 
 
-_SUITE_MODULES = "loaded = lambda: [m in sys.modules for m in ('sconvexlab.harness', 'sconvexlab.means_bounds')]\n"
+_SUITE_MODULES = (
+    "loaded = lambda: [m in sys.modules for m in "
+    "('sconvexlab.harness', 'sconvexlab.means_bounds', 'sconvexlab.quadrature')]\n"
+)
 
 
 def test_only_verify_loads_the_suite_modules(tmp_path):
-    """means, defect, bound and sweep never import harness or means_bounds;
-    verify imports both."""
+    """means, defect, bound and sweep never import harness, means_bounds or
+    quadrature; verify imports the first two.  quadrature is imported on the
+    first numerical integral, which the bounds and reductions suites never
+    make and the identity suite does, and bounds.integrate is then
+    quadrature's own function."""
     script = (
-        "import sys, sconvexlab.cli as cli\n"
+        "import sys, sconvexlab.bounds as bounds\n"
         + _SUITE_MODULES
-        + "f = ['--f', '1*x^2', '--a', '1', '--b', '3']\n"
+        + "at_import = loaded()\n"
+        "import sconvexlab.cli as cli\n"
+        "f = ['--f', '1*x^2', '--a', '1', '--b', '3']\n"
         "cli.dispatch(['means', '--a', '1', '--b', '3', '--p', '2'])\n"
         "cli.dispatch(['defect', *f])\n"
         "cli.dispatch(['bound', '--theorem', 'se2', *f, '--s', '0.5'])\n"
+        "cli.dispatch(['bound', '--theorem', 'hhs', *f, '--s', '0.5'])\n"
         "cli.dispatch(['sweep', '--theorem', 'se6', *f, '--s-grid', '0.5:1:0.25', '--q', '2', '--out', sys.argv[1]])\n"
-        "before = loaded()\n"
+        "commands = loaded()\n"
+        "cli.dispatch(['verify', '--suite', 'bounds', '--cases', '2', '--out', sys.argv[2]])\n"
+        "cli.dispatch(['verify', '--suite', 'reductions', '--cases', '2', '--out', sys.argv[2]])\n"
+        "bound_suites = loaded()\n"
         "cli.dispatch(['verify', '--suite', 'identity', '--cases', '2', '--out', sys.argv[2]])\n"
-        "print(before, loaded())\n"
+        "from sconvexlab import quadrature\n"
+        "print(at_import, commands, bound_suites, loaded(), bounds.integrate is quadrature.integrate)\n"
     )
     last = _run_fresh(script, tmp_path / "sweep.csv", tmp_path / "report.json")
-    assert last == "[False, False] [True, True]"
+    assert last == (
+        "[False, False, False] [False, False, False] [True, True, False] [True, True, True] True"
+    )
+
+
+def test_first_numerical_integral_gives_quadratures_bits():
+    """The first mean_value of a handle with no exact integral goes through
+    bounds.integrate's stand-in, which imports quadrature then, and gives
+    the bits quadrature.integrate gives."""
+    script = (
+        "import math, sys\n"
+        "from sconvexlab import bounds\n"
+        "from sconvexlab.funcmodel import FuncHandle\n"
+        "f = FuncHandle(value=math.sqrt, derivative=lambda x: 0.5 / math.sqrt(x))\n"
+        "before = 'sconvexlab.quadrature' in sys.modules\n"
+        "first = bounds.mean_value(f, 1.0, 4.0)\n"
+        "from sconvexlab import quadrature\n"
+        "direct = quadrature.integrate(math.sqrt, 1.0, 4.0).value / (4.0 - 1.0)\n"
+        "print(before, first.hex() == direct.hex(), first.hex())\n"
+    )
+    before, same_bits, first = _run_fresh(script).split()
+    assert (before, same_bits) == ("False", "True")
+    assert float.fromhex(first) == pytest.approx(14 / 9, rel=1e-12)
 
 
 def test_import_footprint():
