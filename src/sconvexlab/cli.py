@@ -25,8 +25,8 @@ inequality, 2 usage, parse, domain, floating-point overflow or file errors
 (an --out path that cannot be written).
 A --s-grid may hold at most 10,000 points.
 se5 and s2 need a finite q > 1, se6, s3, pp, ppc and adk a finite q >= 1,
---tol a finite T >= 0 (it replaces every suite's own tolerance) and --seed
-a K >= 0; anything else is a domain error.
+--tol a finite T >= 0 (it replaces every suite's own tolerance), --seed a
+K >= 0 and --cases an N from 1 to 2^32; anything else is a domain error.
 Numeric output is printed with 15 significant digits, enough for a full
 double round trip.  An overflow prints "error: floating-point overflow:
 <reason>"; a bound side or defect that is not finite is an error too (a
@@ -46,17 +46,16 @@ argparse alone prints help and usage errors.  A negative number, exponent
 notation included, may follow its option after a space ("--p -1e-300"):
 the plain-line reader and every parser read it with one pattern.  sweep
 evaluates a theorem that takes no s once and repeats its line at every grid
-point; no report is written through csv.  verify and sweep write an --out
-file with write_text (harness.write_report imports it from here): an
-existing file is overwritten in place and then cut to length, never
-truncated first.
+point; no report is written through csv.  verify (through write_report)
+and sweep write an --out file with write_text: an existing file is
+overwritten in place and then cut to length, never truncated first.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
-other commands never compile either module.  That call binds the harness
-names verify uses into this module, keeping any already replaced here,
-and reading one of them from outside (cli.write_report, cli.run_bound_suites)
-binds them too, so the object read or replaced is the one verify calls.
+other commands never compile either module.  verify reads the harness
+names it uses as attributes of this module, with no binding step: a name
+set here (cli.run_bound_suites = ...) is the one verify calls, and
+__getattr__ returns harness's object for any other.
 quadrature is imported by bounds.integrate on the first numerical
 integral, which only verify's identity and props suites make, and the
 token loop's patterns are compiled only when it runs: means, defect,
@@ -72,7 +71,7 @@ import re
 import stat
 import sys
 
-from .errors import EvalError, LabError, ParseError
+from .errors import DomainError, EvalError, LabError, ParseError
 from .funcmodel import FuncHandle, PowerSum, handle_from_power_sum
 from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_pow, geometric_mean
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
@@ -177,7 +176,8 @@ def _cmd_bound(args) -> int:
     return 0 if report.holds else 1
 
 
-# The harness names verify looks up in this module, bound on first use.
+# The harness names verify reads as attributes of this module: a name set
+# here is the one verify calls, and __getattr__ reads any other from harness.
 _HARNESS_NAMES = (
     "SuiteConfig",
     "_csv_lines",
@@ -186,43 +186,33 @@ _HARNESS_NAMES = (
     "run_identity_suite",
     "run_prop_crosscheck_suite",
     "run_reduction_suite",
-    "write_report",
 )
-
-
-def _bind_harness():
-    """Import harness and bind its names here, keeping any already bound."""
-    from . import harness
-
-    namespace = globals()
-    for name in _HARNESS_NAMES:
-        namespace.setdefault(name, getattr(harness, name))
 
 
 def __getattr__(name):
     if name in _HARNESS_NAMES:
-        _bind_harness()
-        return globals()[name]
+        from . import harness
+
+        return getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
-    _bind_harness()  # also called on its own, not only by verify
+    cli = sys.modules[__name__]
     reports = []
     if name in ("identity", "all"):
-        reports.append(run_identity_suite(cfg))
+        reports.append(cli.run_identity_suite(cfg))
     if name in ("bounds", "all"):
-        reports.extend(run_bound_suites(cfg, THEOREMS))
+        reports.extend(cli.run_bound_suites(cfg, THEOREMS))
     if name in ("reductions", "all"):
-        reports.append(run_reduction_suite(cfg))
+        reports.append(cli.run_reduction_suite(cfg))
     if name in ("props", "all"):
-        reports.append(run_prop_crosscheck_suite(cfg))
+        reports.append(cli.run_prop_crosscheck_suite(cfg))
     return reports
 
 
 def _cmd_verify(args) -> int:
-    _bind_harness()
-    cfg = SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
+    cfg = sys.modules[__name__].SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
     reports = _run_suites(args.suite, cfg)
     payload = reports[0] if len(reports) == 1 else reports
     # Write the file before any output, so a failed write prints only its
@@ -243,10 +233,8 @@ def _cmd_verify(args) -> int:
 
     if args.out:
         print(f"report written to {args.out}")
-    elif args.format == "csv":
-        sys.stdout.writelines(_csv_lines(payload))
     else:
-        sys.stdout.write(render_json(payload))
+        sys.stdout.writelines(_report_chunks(payload, args.format))
     return 0 if total_violations == 0 else 1
 
 
@@ -305,6 +293,21 @@ def write_text(path, chunks) -> None:
         finally:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
+
+
+def _report_chunks(reports, fmt: str):
+    """A JSON report as one string, or a CSV report streamed case by case."""
+    cli = sys.modules[__name__]
+    if fmt == "json":
+        return (cli.render_json(reports),)
+    if fmt == "csv":
+        return cli._csv_lines(reports)
+    raise DomainError(f"unknown report format {fmt!r}")
+
+
+def write_report(reports, path: str, fmt: str) -> None:
+    """Write a JSON or CSV report to path with write_text."""
+    write_text(path, _report_chunks(reports, fmt))
 
 
 def _cmd_sweep(args) -> int:

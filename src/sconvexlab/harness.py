@@ -27,10 +27,10 @@ fields in __new__, which _make and _replace skip, so nothing calls those
 two on a SuiteConfig.
 
 Report rows are CaseRow named tuples, one per CSV line.  One generator,
-_csv_lines, renders the CSV report case by case for render_csv, for
-write_report, which streams it to the file, and for `verify --format csv`,
-which streams it to stdout; no cell is quoted, since no suite id, row id
-or status holds a comma, a quote or a line break.
+_csv_lines, renders the CSV report case by case for render_csv and for
+`verify --format csv`, which streams it to an --out file (cli.write_report,
+which writes every report) or to stdout; no cell is quoted, since no suite
+id, row id or status holds a comma, a quote or a line break.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -72,7 +72,6 @@ from .bounds import (
     lemma_identity_rhs,
     verdict,
 )
-from .cli import write_text
 from .means_bounds import FAMILY_DF, PROPOSITIONS, prop_power_lhs, prop_recip_lhs, se4_discrepancy
 
 # The s and q values cases draw from, and the instance sampler's settings.
@@ -93,8 +92,8 @@ class SuiteConfig(namedtuple("SuiteConfig", "seed cases tol")):
     def __new__(cls, seed: int = 42, cases: int = 100, tol: Optional[float] = None):
         if seed < 0:  # random.Random seeds with abs(seed): -1 would replay seed 0's cases
             raise DomainError(f"seed must be >= 0, got {seed}")
-        if cases < 1:
-            raise DomainError("suite needs cases >= 1")
+        if not 1 <= cases <= 1 << 32:  # _case_rng's sub-seeds are unique for i < 2^32
+            raise DomainError(f"suite needs 1 <= cases <= 2^32, got {cases}")
         if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise DomainError(f"tol must be finite and >= 0, got {tol}")
         return tuple.__new__(cls, (seed, cases, tol))
@@ -472,15 +471,3 @@ def _csv_lines(reports):
 def render_csv(reports) -> str:
     return "".join(_csv_lines(reports))
 
-
-def write_report(reports, path: str, fmt: str = "json"):
-    """Write a JSON or CSV report to path; a CSV report is streamed.  An
-    existing file at path is overwritten in place and then cut to length
-    (cli.write_text), never truncated first."""
-    if fmt == "json":
-        chunks = (render_json(reports),)
-    elif fmt == "csv":
-        chunks = _csv_lines(reports)
-    else:
-        raise DomainError(f"unknown report format {fmt!r}")
-    write_text(path, chunks)

@@ -5,13 +5,16 @@ heart of the package, so they are verified here against their defining
 weighted t-integrals evaluated by quadrature, an entirely independent route.
 """
 
+import itertools
 import math
 import random
-from functools import partial
+from functools import cache, partial
 
+import mpmath
 import numpy as np
 import pytest
 
+import sconvexlab.bounds as bounds
 from sconvexlab.bounds import (
     DEFAULT_BOUND_TOL,
     THEOREMS,
@@ -34,6 +37,7 @@ from sconvexlab.funcmodel import (
     FuncHandle,
     GenConfig,
     PowerSum,
+    check_hypothesis,
     handle_from_power_sum,
     powersum_integral,
     sample_dconvex_instance,
@@ -147,6 +151,58 @@ class TestBoundSe2:
         # |f'| = 2x is linear and positive: every estimate in the derivation
         # is tight, so bound equals defect.
         assert bound_se2(2.0, 6.0, IV13, 1.0) == pytest.approx(bullen_type_defect(X2, IV13), abs=1e-10)
+
+
+@cache
+def _se2_weights_50_digits(a, b, s):
+    """The weights of |f'(a)| and |f'(b)| in the se2 proof, at 50 digits:
+    the lemma's kernels k1 = tb + (1-t)a and k2 = ta + (1-t)b integrated
+    against the s-convex envelope's factors ((1+t)/2)^s and ((1-t)/2)^s,
+    which swap places between the two weights."""
+    with mpmath.workdps(50):
+        a, b, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(s)
+        up = lambda t: ((1 + t) / 2) ** s
+        down = lambda t: ((1 - t) / 2) ** s
+
+        def weight(e1, e2):
+            first = mpmath.quad(lambda t: (t * b + (1 - t) * a) * e1(t), [0, 1])
+            second = mpmath.quad(lambda t: (t * a + (1 - t) * b) * e2(t), [0, 1])
+            return (first + second) / 4
+
+        return weight(up, down), weight(down, up)
+
+
+PROOF_S = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+PROOF_INTERVALS = ((1.0, 3.0), (0.25, 4.0), (2.0, 2.1), (1e-3, 1e3))
+
+
+def _worst_proof_gaps():
+    """The worst relative gaps of bounds._se2_coeffs, and of bound_s1's
+    coefficients at s = 1, from the 50-digit proof weights."""
+    se2 = s1 = 0.0
+    for (a, b), s in itertools.product(PROOF_INTERVALS, PROOF_S):
+        ref = _se2_weights_50_digits(a, b, s)
+        gaps = lambda coeffs: max(float(abs(c - r) / r) for c, r in zip(coeffs, ref))
+        se2 = max(se2, gaps(bounds._se2_coeffs(a, b, s)))
+        if s == 1.0:
+            iv = OrderedInterval(a, b)
+            s1 = max(s1, gaps((bound_s1(1.0, 0.0, iv), bound_s1(0.0, 1.0, iv))))
+    return se2, s1
+
+
+class TestProofConstants:
+    """The se2 and s1 constants are the integrals their proof evaluates
+    (ROADMAP item 9); the worst gaps found were 2.3e-16 and 9.1e-17."""
+
+    def test_se2_and_s1_constants_follow_from_the_proof(self):
+        se2, s1 = _worst_proof_gaps()
+        assert se2 < 1e-14 and s1 < 1e-14
+
+    def test_control_a_perturbed_se2_weight_is_caught(self, monkeypatch):
+        exact = bounds.se2_weights
+        monkeypatch.setattr(bounds, "se2_weights", lambda s: (exact(s)[0] * (1 + 1e-12), exact(s)[1]))
+        se2, _ = _worst_proof_gaps()
+        assert se2 > 1e-14
 
 
 class TestBoundSe5:
@@ -384,6 +440,34 @@ class TestNegatedInstances:
         for _, neg, iv, s, _ in _negated_draws():
             rhs = bound_se2(neg.derivative(iv.a), neg.derivative(iv.b), iv, s)
             assert verdict(bullen_type_defect(neg, iv), rhs, DEFAULT_BOUND_TOL) == "violation"
+
+
+# One term on [1, 20] per row, whose premise check_hypothesis does not
+# prove, as (theorems, f, s, q); f' is x^0.5, x^0.25 or x^-2.5 (f its
+# antiderivative), or f itself is x^0.5.
+UNPROVED = (
+    (("se2", "s1"), PowerSum([(1.0, 0.5)]).antiderivative(), 1.0, None),
+    (("se6", "s3"), PowerSum([(1.0, 0.25)]).antiderivative(), 1.0, 1.5),
+    (("ppc",), PowerSum([(1.0, -2.5)]).antiderivative(), 1.0, 1.5),
+    (("adk",), PowerSum([(1.0, -2.5)]).antiderivative(), 1.0, 3.0),
+    (("hh", "hhs", "bullen"), PowerSum([(1.0, 0.5)]), 1.0, None),
+)
+
+
+@pytest.mark.parametrize("theorem,f,s,q", [pytest.param(t, f, s, q, id=t) for ids, f, s, q in UNPROVED for t in ids])
+def test_each_premise_matters(theorem, f, s, q):
+    """Without its premise, the theorem's inequality fails (ROADMAP item
+    11): on these instances check_hypothesis proves nothing and lhs > rhs
+    beyond the tolerance (lhs/rhs 1.152 for se2 and s1, 1.099 for se6 and
+    s3, 21.25 for ppc, 7.99 for adk, 1.134 for hh and hhs, 1.038 for
+    bullen).  se5, s2, da and pp had no such instance on the grid searched:
+    c = +-1, e in steps of 0.25 over [-2.5, 4], b in {1.5, 2, 3, 5, 10, 20},
+    and the suites' s and q grids."""
+    th = THEOREMS[theorem]
+    handle = handle_from_power_sum(f)
+    assert check_hypothesis(handle, th.hypothesis, s if th.takes_s else 1.0, q, th.concave) is None
+    lhs, rhs = th.sides(handle, 1.0, 20.0, s, q)
+    assert verdict(lhs, rhs, DEFAULT_BOUND_TOL) == "violation"
 
 
 class TestEvaluateBound:

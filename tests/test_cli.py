@@ -485,6 +485,14 @@ class TestExitCodes:
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
 
+    def test_more_than_2_to_the_32_cases_is_an_error(self, capsys, monkeypatch):
+        # The config is checked before any case runs.
+        monkeypatch.setattr(cli, "run_reduction_suite", lambda cfg: pytest.fail("a case ran"))
+        assert dispatch(["verify", "--suite", "reductions", "--cases", "4294967297"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: suite needs 1 <= cases <= 2^32, got 4294967297\n"
+        assert captured.out == ""
+
     def test_usage_error(self, capsys):
         assert dispatch(["nonsense"]) == 2
         assert dispatch(["bound", "--theorem", "se99", "--f", "1*x^2", "--a", "1", "--b", "3"]) == 2
@@ -1086,21 +1094,36 @@ def test_cli_never_imports_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "numpy loaded False dataclasses loaded False exit 0 rule term"
 
 
-def test_no_library_module_imports_numpy():
-    """numpy is a test dependency only: no module of the package imports it,
-    at the top or inside a function."""
+def _package_imports():
+    """(file, line, module) for each module each file of the package imports,
+    at the top or inside a function, as an absolute name; "from A import B"
+    gives both A and A.B, since B may be a module."""
     package = os.path.dirname(os.path.abspath(sconvexlab.__file__))
-    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
-    found = []
-    for name in modules:
+    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
         with open(os.path.join(package, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                imported = [node.module or ""]
+                base = ".".join(filter(None, ["sconvexlab" if node.level else "", node.module]))
+                imported = [base] + [f"{base}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found += [(name, node.lineno) for m in imported if m.split(".")[0] == "numpy"]
-    assert "funcmodel.py" in modules and found == []
+            yield from ((name, node.lineno, m) for m in imported)
+
+
+def test_no_library_module_imports_numpy():
+    """numpy is a test dependency only: no module of the package imports it,
+    at the top or inside a function."""
+    imports = list(_package_imports())
+    found = [(name, line) for name, line, m in imports if m.split(".")[0] == "numpy"]
+    assert "funcmodel.py" in {name for name, _, _ in imports} and found == []
+
+
+def test_only_main_imports_cli():
+    """cli is the top of the package: it imports the other modules, and only
+    __main__ imports it, so no library module reaches back into the command
+    line (a report is written by cli.write_report, not by harness)."""
+    importers = {name for name, _, m in _package_imports() if m == "sconvexlab.cli"}
+    assert importers == {"__main__.py"}

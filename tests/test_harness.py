@@ -16,6 +16,7 @@ import sconvexlab.harness as harness
 import sconvexlab.means_bounds as means_bounds
 import sconvexlab.quadrature as quadrature
 from sconvexlab.bounds import DEFAULT_BOUND_TOL, THEOREMS
+from sconvexlab.cli import write_report
 from sconvexlab.errors import DomainError, SuiteError
 from sconvexlab.funcmodel import FuncHandle, PowerSum, sample_interval
 from sconvexlab.harness import (
@@ -30,7 +31,6 @@ from sconvexlab.harness import (
     run_identity_suite,
     run_prop_crosscheck_suite,
     run_reduction_suite,
-    write_report,
 )
 from sconvexlab.means import OrderedInterval
 from sconvexlab.means_bounds import PROPOSITIONS
@@ -516,6 +516,13 @@ class TestConfigValidation:
     def test_bad_cases(self):
         with pytest.raises(DomainError):
             SuiteConfig(cases=0)
+
+    def test_at_most_2_to_the_32_cases(self):
+        # _case_rng's sub-seed (seed << 32) | i is unique only for i < 2^32;
+        # case 2^32 + j would replay case j of this seed or of seed + 1.
+        assert SuiteConfig(cases=1 << 32).cases == 1 << 32
+        with pytest.raises(DomainError):
+            SuiteConfig(cases=(1 << 32) + 1)
 
     def test_bad_tolerances(self):
         for bad in (float("nan"), float("inf"), -1e-9):
