@@ -214,11 +214,10 @@ def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
 def _cmd_verify(args) -> int:
     cfg = sys.modules[__name__].SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
     reports = _run_suites(args.suite, cfg)
-    payload = reports[0] if len(reports) == 1 else reports
     # Write the file before any output, so a failed write prints only its
     # error line.
     if args.out:
-        write_report(payload, args.out, args.format)
+        write_report(reports, args.out, args.format)
 
     total_violations = 0
     for report in reports:
@@ -234,7 +233,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         print(f"report written to {args.out}")
     else:
-        sys.stdout.writelines(_report_chunks(payload, args.format))
+        sys.stdout.writelines(_report_chunks(reports, args.format))
     return 0 if total_violations == 0 else 1
 
 

@@ -26,11 +26,12 @@ SuiteConfig and SuiteReport are named tuples; SuiteConfig checks its
 fields in __new__, which _make and _replace skip, so nothing calls those
 two on a SuiteConfig.
 
-Report rows are CaseRow named tuples, one per CSV line.  One generator,
-_csv_lines, renders the CSV report case by case for render_csv and for
-`verify --format csv`, which streams it to an --out file (cli.write_report,
-which writes every report) or to stdout; no cell is quoted, since no suite
-id, row id or status holds a comma, a quote or a line break.
+Report rows are CaseRow named tuples; the CSV columns are "suite" and
+CaseRow's fields.  verify passes its list of reports to render_json (one
+report is an object) or to _csv_lines, which renders the CSV case by case
+for an --out file (cli.write_report, which writes every report) or stdout;
+no cell is quoted, since no suite id, row id or status holds a comma, a
+quote or a line break.
 
 For bound cases margin is rhs - lhs and bounds.verdict classifies it; for
 identity, reduction and cross-check cases margin is the negated (relative)
@@ -104,7 +105,7 @@ class SuiteConfig(namedtuple("SuiteConfig", "seed cases tol")):
 
 class CaseRow(NamedTuple):
     """One report row.  Its fields are the CSV columns after "suite", in
-    order, so render_csv writes (suite_id,) + row."""
+    order, so a report's CSV line is (suite_id,) + row."""
 
     case: int
     theorem: str
@@ -416,14 +417,12 @@ def report_to_dict(report: SuiteReport) -> dict:
 
 
 def render_json(reports) -> str:
-    if isinstance(reports, SuiteReport):
-        payload = report_to_dict(reports)
-    else:
-        payload = [report_to_dict(r) for r in reports]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """A list of reports as JSON: one report an object, any other number an array."""
+    dicts = [report_to_dict(r) for r in reports]
+    return json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2, sort_keys=True) + "\n"
 
 
-CSV_HEADER = ("suite", "case", "theorem", "a", "b", "s", "q", "lhs", "rhs", "margin", "status")
+CSV_HEADER = ("suite",) + CaseRow._fields
 
 
 def _text(x) -> str:
@@ -439,8 +438,6 @@ def _csv_lines(reports):
     text; one object has one str, so no equality of values is relied on.
     A case ends where the case cell's object changes.
     """
-    if isinstance(reports, SuiteReport):
-        reports = (reports,)
     yield ",".join(CSV_HEADER) + "\n"
     for report in reports:
         suite = report.suite_id + ","
@@ -466,8 +463,3 @@ def _csv_lines(reports):
             above = row
         if lines:
             yield "".join(lines)
-
-
-def render_csv(reports) -> str:
-    return "".join(_csv_lines(reports))
-

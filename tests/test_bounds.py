@@ -154,26 +154,68 @@ class TestBoundSe2:
 
 
 @cache
-def _se2_weights_50_digits(a, b, s):
-    """The weights of |f'(a)| and |f'(b)| in the se2 proof, at 50 digits:
-    the lemma's kernels k1 = tb + (1-t)a and k2 = ta + (1-t)b integrated
-    against the s-convex envelope's factors ((1+t)/2)^s and ((1-t)/2)^s,
-    which swap places between the two weights."""
+def _envelope_integrals_50_digits(a, b, s):
+    """The proofs' t-integrals at 50 digits: the lemma's kernels
+    k1 = tb + (1-t)a and k2 = ta + (1-t)b against the s-convex envelope's
+    factors ((1+t)/2)^s and ((1-t)/2)^s, as I1 = int k1 up, J1 = int k1 down,
+    I2 = int k2 down and J2 = int k2 up, and the bare factors as
+    E1 = int up and E2 = int down."""
     with mpmath.workdps(50):
         a, b, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(s)
         up = lambda t: ((1 + t) / 2) ** s
         down = lambda t: ((1 - t) / 2) ** s
+        k1 = lambda t: t * b + (1 - t) * a
+        k2 = lambda t: t * a + (1 - t) * b
+        quad = lambda g: mpmath.quad(g, [0, 1])
+        return (quad(lambda t: k1(t) * up(t)), quad(lambda t: k1(t) * down(t)),
+                quad(lambda t: k2(t) * down(t)), quad(lambda t: k2(t) * up(t)), quad(up), quad(down))
 
-        def weight(e1, e2):
-            first = mpmath.quad(lambda t: (t * b + (1 - t) * a) * e1(t), [0, 1])
-            second = mpmath.quad(lambda t: (t * a + (1 - t) * b) * e2(t), [0, 1])
-            return (first + second) / 4
 
-        return weight(up, down), weight(down, up)
+@cache
+def _kernel_norm_50_digits(a, b, p):
+    """(int_0^1 k1^p dt)^(1/p), the Holder step's kernel factor, at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, p = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
+        return mpmath.quad(lambda t: (t * b + (1 - t) * a) ** p, [0, 1]) ** (1 / p)
+
+
+def _se2_weights_50_digits(a, b, s):
+    """The weights of |f'(a)| and |f'(b)| in the se2 proof: the envelope's
+    two factors swap places between the kernels of the two weights."""
+    i1, j1, i2, j2, _, _ = _envelope_integrals_50_digits(a, b, s)
+    with mpmath.workdps(50):
+        return (i1 + i2) / 4, (j1 + j2) / 4
+
+
+def _se6_50_digits(a, b, s, q, da, db):
+    """The power-mean proof's bound: the triangle step, then
+    int k|f'| <= (int k)^(1-1/q) (int k|f'|^q)^(1/q) with int k = A, then
+    the s-convex envelope of |f'|^q under each kernel."""
+    i1, j1, i2, j2, _, _ = _envelope_integrals_50_digits(a, b, s)
+    with mpmath.workdps(50):
+        q, da, db = mpmath.mpf(q), mpmath.mpf(da), mpmath.mpf(db)
+        mean = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+        bracket = (i1 * da ** q + j1 * db ** q) ** (1 / q) + (i2 * da ** q + j2 * db ** q) ** (1 / q)
+        return mean ** (1 - 1 / q) * bracket / 4
+
+
+def _se5_50_digits(a, b, s, q, da, db):
+    """The Holder proof's bound: int k|f'| <= (int k^p)^(1/p) (int |f'|^q)^(1/q),
+    p = q/(q-1), with the s-convex envelope of |f'|^q; both kernels have
+    the same p-norm."""
+    _, _, _, _, e1, e2 = _envelope_integrals_50_digits(a, b, s)
+    norm = _kernel_norm_50_digits(a, b, q / (q - 1.0))
+    with mpmath.workdps(50):
+        q, da, db = mpmath.mpf(q), mpmath.mpf(da), mpmath.mpf(db)
+        bracket = (e1 * da ** q + e2 * db ** q) ** (1 / q) + (e2 * da ** q + e1 * db ** q) ** (1 / q)
+        return norm * bracket / 4
 
 
 PROOF_S = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+PROOF_Q = (1.0, 1.5, 2.0, 3.0)
 PROOF_INTERVALS = ((1.0, 3.0), (0.25, 4.0), (2.0, 2.1), (1e-3, 1e3))
+# (|f'(a)|, |f'(b)|) pairs for the bounds that are not linear in them.
+PROOF_DERIVATIVES = ((1.0, 0.0), (0.0, 1.0), (2.0, 6.0), (0.5, 3.0))
 
 
 def _worst_proof_gaps():
@@ -190,9 +232,33 @@ def _worst_proof_gaps():
     return se2, s1
 
 
+def _worst_norm_bound_gaps():
+    """The worst relative gap of each of se5, se6, s2 and s3 (the last two
+    at s = 1) from its proof's bound at 50 digits; se5 and s2 at q > 1."""
+    worst = dict.fromkeys(("se5", "se6", "s2", "s3"), 0.0)
+
+    def gap(name, value, ref):
+        worst[name] = max(worst[name], float(abs(value - ref) / ref))
+
+    for (a, b), s, q, (da, db) in itertools.product(PROOF_INTERVALS, PROOF_S, PROOF_Q, PROOF_DERIVATIVES):
+        iv = OrderedInterval(a, b)
+        ref = _se6_50_digits(a, b, s, q, da, db)
+        gap("se6", bound_se6(da, db, iv, s, q), ref)
+        if s == 1.0:
+            gap("s3", bound_s3(da, db, iv, q), ref)
+        if q > 1.0:
+            ref = _se5_50_digits(a, b, s, q, da, db)
+            gap("se5", bound_se5(da, db, iv, s, q), ref)
+            if s == 1.0:
+                gap("s2", bound_s2(da, db, iv, q), ref)
+    return worst
+
+
 class TestProofConstants:
-    """The se2 and s1 constants are the integrals their proof evaluates
-    (ROADMAP item 9); the worst gaps found were 2.3e-16 and 9.1e-17."""
+    """The se2, s1, se5, se6, s2 and s3 constants are the integrals their
+    proofs evaluate (ROADMAP item 9); the worst gaps found were 2.3e-16
+    (se2), 9.1e-17 (s1), 6.4e-16 (se5), 5.5e-16 (se6), 5.0e-16 (s2) and
+    3.3e-16 (s3)."""
 
     def test_se2_and_s1_constants_follow_from_the_proof(self):
         se2, s1 = _worst_proof_gaps()
@@ -203,6 +269,23 @@ class TestProofConstants:
         monkeypatch.setattr(bounds, "se2_weights", lambda s: (exact(s)[0] * (1 + 1e-12), exact(s)[1]))
         se2, _ = _worst_proof_gaps()
         assert se2 > 1e-14
+
+    def test_holder_and_power_mean_constants_follow_from_the_proof(self):
+        worst = _worst_norm_bound_gaps()
+        assert all(gap < 1e-14 for gap in worst.values()), worst
+
+    def test_control_a_perturbed_gen_log_mean_is_caught(self, monkeypatch):
+        exact = bounds.gen_log_mean
+        monkeypatch.setattr(bounds, "gen_log_mean", lambda iv, p: exact(iv, p) * (1 + 1e-12))
+        worst = _worst_norm_bound_gaps()
+        assert worst["se5"] > 1e-14 and worst["s2"] > 1e-14
+
+    def test_control_a_perturbed_arithmetic_mean_is_caught(self, monkeypatch):
+        # A^(1-1/q) moves only at q > 1.
+        exact = bounds.arithmetic_mean
+        monkeypatch.setattr(bounds, "arithmetic_mean", lambda iv: exact(iv) * (1 + 1e-12))
+        worst = _worst_norm_bound_gaps()
+        assert worst["se6"] > 1e-14 and worst["s3"] > 1e-14
 
 
 class TestBoundSe5:

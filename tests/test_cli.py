@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from sconvexlab.bounds import THEOREMS, evaluate_bound
 from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch, parse_function_dsl
 from sconvexlab.errors import LabError, MissingParam, ParseError
 from sconvexlab.funcmodel import PowerSum
-from sconvexlab.harness import SuiteConfig, render_csv
+from sconvexlab.harness import SuiteConfig, _csv_lines
 from sconvexlab.means import OrderedInterval
 
 BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
@@ -322,14 +323,29 @@ class TestVerifyCommand:
         assert dispatch(["verify", *extra, "--format", "csv", "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("suite, digest", [
+        ("identity", "18c469ac96f5184d3d473622377bc1c3b6a78aac100ac03d73809d694d1a4af4"),
+        ("all", "6d738c77352c4090dd967a236ee171933e9fecee76eaa34283699354b865166d"),
+    ], ids=["identity", "all"])
+    def test_golden_json_report_digest(self, tmp_path, capsys, suite, digest):
+        # Pinned JSON report bytes, one report (an object) and sixteen (an
+        # array), with each runtime_ms, the one value that varies from run
+        # to run, read as 0.
+        out = tmp_path / "report.json"
+        args = ["verify", "--suite", suite, "--cases", "50", "--seed", "42", "--format", "json", "--out", str(out)]
+        assert dispatch(args) == 0
+        masked = re.sub(rb'"runtime_ms": [-+.0-9eE]+', b'"runtime_ms": 0', out.read_bytes())
+        assert masked.count(b'"runtime_ms": 0') == (1 if suite == "identity" else 16)
+        assert hashlib.sha256(masked).hexdigest() == digest
+
     @pytest.mark.parametrize("suite", ["props", "all"])
     def test_csv_report_streams_to_stdout(self, capsys, suite):
         # Without --out the report follows the summary lines on stdout, with
-        # the bytes render_csv gives for the same reports (one, or a list).
+        # the bytes _csv_lines gives for the same list of reports.
         assert dispatch(["verify", "--suite", suite, "--cases", "3", "--seed", "11", "--format", "csv"]) == 0
         printed = capsys.readouterr().out
         reports = cli._run_suites(suite, SuiteConfig(seed=11, cases=3))
-        report = render_csv(reports[0] if len(reports) == 1 else reports)
+        report = "".join(_csv_lines(reports))
         assert printed.endswith(report)
         summary = printed[: len(printed) - len(report)].splitlines()
         suite_lines = [line for line in summary if line.startswith("suite ")]

@@ -18,13 +18,13 @@ import sconvexlab.quadrature as quadrature
 from sconvexlab.bounds import DEFAULT_BOUND_TOL, THEOREMS
 from sconvexlab.cli import write_report
 from sconvexlab.errors import DomainError, SuiteError
-from sconvexlab.funcmodel import FuncHandle, PowerSum, sample_interval
+from sconvexlab.funcmodel import FuncHandle, PowerSum, handle_from_power_sum, sample_interval
 from sconvexlab.harness import (
     CSV_HEADER,
     CaseRow,
     SuiteConfig,
     SuiteReport,
-    render_csv,
+    _csv_lines,
     render_json,
     report_to_dict,
     run_bound_suites,
@@ -225,6 +225,46 @@ class TestProofCoverage:
                 assert run_bound_suites(cfg, (theorem,))[0].skipped == 0, (seed, theorem)
 
 
+def _root_term_instances(monkeypatch):
+    """Give every base and s-term swap draw f' = x^0.5 on [1, 20], with
+    its exact integral: one term whose |f'| is s-convex only for s <= 0.5
+    and never convex."""
+    f = handle_from_power_sum(PowerSum([(1.0, 0.5)]).antiderivative())
+    monkeypatch.setattr(harness, "sample_dconvex_instance", lambda rng, cfg: (f, OrderedInterval(1.0, 20.0)))
+    monkeypatch.setattr(harness, "_sconvex_term_instance", lambda rng, s: (f, OrderedInterval(1.0, 20.0)))
+
+
+class TestProofRuleControl:
+    """The proof rules are what keep "no violation" true (ROADMAP item 11):
+    on f' = x^0.5 over [1, 20], where the premises of se2, s1, se6 and s3
+    fail for some s and q, the rules skip every case that would violate,
+    and a rule that also accepts every nonnegative single term lets the
+    violations through (12 for se2, 40 for s1, 6 for se6, 16 for s3)."""
+
+    CFG = SuiteConfig(seed=42, cases=40)
+
+    def test_the_rules_skip_every_violating_case(self, monkeypatch):
+        _root_term_instances(monkeypatch)
+        for report in run_bound_suites(self.CFG, ("se2", "se6", "s3")):
+            assert report.violations == (), report.suite_id
+        with pytest.raises(SuiteError, match="every case was skipped"):
+            run_bound_suites(self.CFG, ("s1",))
+
+    def test_control_a_lenient_term_rule_lets_violations_through(self, monkeypatch):
+        _root_term_instances(monkeypatch)
+        real = funcmodel.prove_hypothesis
+
+        def lenient(ps, hypothesis, s, q, concave):
+            rule = real(ps, hypothesis, s, q, concave)
+            if rule is None and len(ps.terms) == 1 and ps.terms[0][0] >= 0.0:
+                return "term"
+            return rule
+
+        monkeypatch.setattr(funcmodel, "prove_hypothesis", lenient)
+        reports = run_bound_suites(self.CFG, ("se2", "s1", "se6", "s3"))
+        assert all(len(report.violations) > 0 for report in reports), [len(r.violations) for r in reports]
+
+
 class TestReductionSuite:
     def test_clean_and_tight(self):
         report = run_reduction_suite(SuiteConfig(seed=13, cases=100))
@@ -365,20 +405,25 @@ class TestReportSerialization:
     def test_csv_layout_and_determinism(self):
         r1 = run_reduction_suite(SuiteConfig(seed=19, cases=8))
         r2 = run_reduction_suite(SuiteConfig(seed=19, cases=8))
-        text = render_csv(r1)
-        assert text == render_csv(r2)
+        text = "".join(_csv_lines([r1]))
+        assert text == "".join(_csv_lines([r2]))
         lines = text.splitlines()
         assert lines[0] == "suite,case,theorem,a,b,s,q,lhs,rhs,margin,status"
         assert len(lines) == 1 + 4 * 8  # four reduction rows per case
 
     def test_row_fields_are_the_csv_columns(self):
-        # A field added to CaseRow must not become a CSV column unnoticed.
+        # A field added to CaseRow is a CSV column; test_csv_layout_and_determinism
+        # pins the header's text.
         assert CaseRow._fields == CSV_HEADER[1:]
 
     def test_render_json_list(self):
-        reports = [run_reduction_suite(SuiteConfig(seed=1, cases=2))]
-        parsed = json.loads(render_json(reports))
-        assert isinstance(parsed, list) and parsed[0]["suite"] == "reductions"
+        # A list of one report is one object, a longer list an array.
+        one = run_reduction_suite(SuiteConfig(seed=1, cases=2))
+        two = run_identity_suite(SuiteConfig(seed=1, cases=2))
+        assert json.loads(render_json([one])) == report_to_dict(one)
+        parsed = json.loads(render_json([one, two]))
+        assert isinstance(parsed, list) and [r["suite"] for r in parsed] == ["reductions", "identity"]
+        assert parsed == [report_to_dict(one), report_to_dict(two)]
 
 
 def _hand_report(suite_id, rows):
@@ -387,8 +432,6 @@ def _hand_report(suite_id, rows):
 
 def _csv_writer_reference(reports):
     """The report as csv.writer renders it, the renderer's contract."""
-    if isinstance(reports, SuiteReport):
-        reports = [reports]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -433,13 +476,13 @@ class TestCsvRenderer:
     @staticmethod
     def _assert_matches_csv_writer(tmp_path, reports):
         expected = _csv_writer_reference(reports)
-        assert render_csv(reports) == expected
+        assert "".join(_csv_lines(reports)) == expected
         out = tmp_path / "report.csv"
         write_report(reports, str(out), "csv")
         assert out.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("reports", [
-        MIXED, [MIXED], [SINGLE], [EMPTY], [], [MIXED, SINGLE, EMPTY, MIXED],
+        [MIXED], [SINGLE], [EMPTY], [], [MIXED, SINGLE, EMPTY, MIXED],
     ])
     def test_bytes_match_csv_writer(self, tmp_path, reports):
         self._assert_matches_csv_writer(tmp_path, reports)
@@ -483,12 +526,12 @@ class TestCsvRenderer:
     def test_identity_edges_match_csv_writer(self, tmp_path, edge):
         assert self._Y == self._Y2 and self._Y is not self._Y2  # equal_distinct's premise
         report = _hand_report(edge, self.IDENTITY_EDGES[edge])
-        self._assert_matches_csv_writer(tmp_path, report)
+        self._assert_matches_csv_writer(tmp_path, [report])
         self._assert_matches_csv_writer(tmp_path, [report, self.SINGLE, report])
 
     def test_one_string_per_case(self, all_suites):
         # The header, then each case's lines as one string.
-        chunks = list(harness._csv_lines(all_suites))
+        chunks = list(_csv_lines(all_suites))
         assert len(chunks) == 1 + sum(len({row.case for row in r.rows}) for r in all_suites)
         assert chunks[0] == ",".join(CSV_HEADER) + "\n"
         assert all(len({line.split(",")[1] for line in chunk.splitlines()}) == 1 for chunk in chunks[1:])
@@ -508,7 +551,7 @@ class TestCsvRenderer:
     def test_unknown_format_writes_nothing(self, tmp_path):
         out = tmp_path / "report.xml"
         with pytest.raises(DomainError):
-            write_report(self.SINGLE, str(out), "xml")
+            write_report([self.SINGLE], str(out), "xml")
         assert not out.exists()
 
 
