@@ -52,10 +52,11 @@ overwritten in place and then cut to length, never truncated first.
 
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
-other commands never compile either module.  verify reads the harness
-names it uses as attributes of this module, with no binding step: a name
-set here (cli.run_bound_suites = ...) is the one verify calls, and
-__getattr__ returns harness's object for any other.
+other commands never compile either module.  verify runs, in table
+order, each runner of harness.SUITES that --suite names (or all of them).
+It reads the harness names it uses as attributes of this module, with no
+binding step: a name set here (cli.SUITES = ...) is the one verify reads,
+and __getattr__ returns harness's object for any other.
 quadrature is imported by bounds.integrate on the first numerical
 integral, which only verify's identity and props suites make, and the
 token loop's patterns are compiled only when it runs: means, defect,
@@ -177,12 +178,13 @@ def _cmd_bound(args) -> int:
 
 
 # The harness names verify reads as attributes of this module: a name set
-# here is the one verify calls, and __getattr__ reads any other from harness.
+# here is the one verify uses, and __getattr__ reads any other from harness.
 _HARNESS_NAMES = (
+    "SUITES",
     "SuiteConfig",
     "_csv_lines",
     "render_json",
-    "run_bound_suites",
+    # verify calls none of these three; bench/spans.py still wraps them here.
     "run_identity_suite",
     "run_prop_crosscheck_suite",
     "run_reduction_suite",
@@ -197,23 +199,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_suites(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
-    cli = sys.modules[__name__]
-    reports = []
-    if name in ("identity", "all"):
-        reports.append(cli.run_identity_suite(cfg))
-    if name in ("bounds", "all"):
-        reports.extend(cli.run_bound_suites(cfg, THEOREMS))
-    if name in ("reductions", "all"):
-        reports.append(cli.run_reduction_suite(cfg))
-    if name in ("props", "all"):
-        reports.append(cli.run_prop_crosscheck_suite(cfg))
-    return reports
-
-
 def _cmd_verify(args) -> int:
-    cfg = sys.modules[__name__].SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
-    reports = _run_suites(args.suite, cfg)
+    cli = sys.modules[__name__]
+    cfg = cli.SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
+    reports = [report for name, run in cli.SUITES.items() if args.suite in (name, "all") for report in run(cfg)]
     # Write the file before any output, so a failed write prints only its
     # error line.
     if args.out:

@@ -16,11 +16,12 @@ Four suites:
                 the documented sign discrepancy of the printed
                 reciprocal-family bound.
 
-Every suite runs in one case loop, _run, which seeds, times and reports.
-Case i draws everything from one generator, random.Random((seed << 32) | i),
-so identical configs produce identical reports, and no two (seed, case)
-pairs share a sub-seed.  Each suite is its setup plus a per-case generator
-that yields the case's rows to _run.
+SUITES maps each --suite name, in report order, to its runner: (cfg) ->
+its list of reports.  Every suite runs in one case loop, _run, which seeds,
+times and reports.  Case i draws everything from one generator,
+random.Random((seed << 32) | i), so identical configs produce identical
+reports, and no two (seed, case) pairs share a sub-seed.  Each suite is its
+setup plus a per-case generator that yields the case's rows to _run.
 
 SuiteConfig and SuiteReport are named tuples; SuiteConfig checks its
 fields in __new__, which _make and _replace skip, so nothing calls those
@@ -176,7 +177,7 @@ def _match_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: f
     return CaseRow(case, theorem, iv.a, iv.b, s, q, lhs, rhs, margin, status)
 
 
-def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
+def run_identity_suite(cfg: SuiteConfig) -> list[SuiteReport]:
     """Signed defect versus the weighted derivative integrals, case by case."""
     tol = cfg.tol_or(_IDENTITY_TOL)
 
@@ -186,7 +187,7 @@ def run_identity_suite(cfg: SuiteConfig) -> SuiteReport:
         rhs = lemma_identity_rhs(f, iv)
         yield 0, (_match_row(i, "identity", iv, None, None, lhs, rhs, tol),)
 
-    return _run(cfg, ("identity",), case)[0]
+    return _run(cfg, ("identity",), case)
 
 
 def _convex_f_instance(rng: random.Random) -> tuple[FuncHandle, OrderedInterval]:
@@ -262,10 +263,11 @@ def _draw_family(family: str, i: int, rng: random.Random, s: float,
     return f, iv.a, iv.b, s
 
 
-def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
-    """One report per theorem id, in the order given: its inequality
-    asserted over generated instances, and a case skipped when
-    funcmodel.check_hypothesis finds no rule that proves its hypothesis.
+def run_bound_suites(cfg: SuiteConfig, theorems=tuple(THEOREMS)) -> list[SuiteReport]:
+    """One report per theorem id, in the order given (by default, THEOREMS
+    order): its inequality asserted over generated instances, and a case
+    skipped when funcmodel.check_hypothesis finds no rule that proves its
+    hypothesis.
 
     A case draws s and q.  Each family (_family) its theorems need is drawn
     once, when a theorem first needs it, from the generator state that
@@ -307,7 +309,7 @@ def run_bound_suites(cfg: SuiteConfig, theorems) -> list[SuiteReport]:
     return _run(cfg, [f"bounds:{th.id}" for th in ths], case)
 
 
-def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
+def run_reduction_suite(cfg: SuiteConfig) -> list[SuiteReport]:
     """The four algebraic collapses, as relative discrepancies on random data."""
     tol = cfg.tol_or(_REDUCTION_TOL)
 
@@ -332,7 +334,7 @@ def run_reduction_suite(cfg: SuiteConfig) -> SuiteReport:
             rows.append(CaseRow(i, name, iv.a, iv.b, s_row, q_row, lhs, rhs, -rel, status))
         yield 0, rows
 
-    return _run(cfg, ("reductions",), case)[0]
+    return _run(cfg, ("reductions",), case)
 
 
 def _quadrature_oracle(c: float, p: float) -> FuncHandle:
@@ -343,7 +345,7 @@ def _quadrature_oracle(c: float, p: float) -> FuncHandle:
     return FuncHandle(value=lambda x: c * x ** p, derivative=PowerSum([(c, p)]).derivative())
 
 
-def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
+def run_prop_crosscheck_suite(cfg: SuiteConfig) -> list[SuiteReport]:
     """Mean-expressed defects against quadrature, and proposition dominance."""
     tol = cfg.tol_or(DEFAULT_BOUND_TOL)
     # Per family: its cross-check row id, mean-form defect, endpoint |f'|,
@@ -389,13 +391,18 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> SuiteReport:
             printed_negative += 1
         yield 0, rows
 
-    report = _run(cfg, ("props",), case)[0]
-    return report._replace(notes=(
+    [report] = _run(cfg, ("props",), case)
+    return [report._replace(notes=(
         "se4 as-printed bound: second term is the exact negative of the substitution "
         f"form on {negation_hits}/{cfg.cases} sampled cases "
         f"({printed_negative}/{cfg.cases} printed values fall below the substitution bound); "
         "the printed form is reported for documentation and never asserted.",
-    ))
+    ))]
+
+
+# Each --suite name's runner, in the order verify --suite all runs them.
+SUITES = {"identity": run_identity_suite, "bounds": run_bound_suites,
+          "reductions": run_reduction_suite, "props": run_prop_crosscheck_suite}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def _line(criterion: str, ok: bool):
 def test_criterion_1_lemma_identity_1000_instances():
     ok = False
     try:
-        report = run_identity_suite(SuiteConfig(seed=42, cases=1000, tol=1e-8))
+        report = run_identity_suite(SuiteConfig(seed=42, cases=1000, tol=1e-8))[0]
         assert report.cases_run == 1000
         assert report.violations == (), f"identity violations: {report.violations[:3]}"
         assert report.worst_margin >= -1e-8
@@ -86,7 +86,7 @@ def test_criterion_3_holder_and_power_mean_bounds_5000_each():
 def test_criterion_4_reductions_to_convex_case():
     ok = False
     try:
-        report = run_reduction_suite(SuiteConfig(seed=303, cases=1000, tol=1e-12))
+        report = run_reduction_suite(SuiteConfig(seed=303, cases=1000, tol=1e-12))[0]
         assert report.violations == ()
         assert report.worst_margin >= -1e-12
 
@@ -103,7 +103,7 @@ def test_criterion_4_reductions_to_convex_case():
 def test_criterion_5_proposition_crosschecks():
     ok = False
     try:
-        report = run_prop_crosscheck_suite(SuiteConfig(seed=404, cases=50, tol=1e-9))
+        report = run_prop_crosscheck_suite(SuiteConfig(seed=404, cases=50, tol=1e-9))[0]
         assert report.cases_run == 50
         assert report.violations == (), f"prop violations: {report.violations[:3]}"
 
@@ -180,7 +180,7 @@ def test_criterion_8_printed_bound_discrepancy_documented():
             assert d.printed_rhs < d.substitution_rhs
 
         # the tool emits a notice instead of asserting the printed bound
-        report = run_prop_crosscheck_suite(SuiteConfig(seed=606, cases=100))
+        report = run_prop_crosscheck_suite(SuiteConfig(seed=606, cases=100))[0]
         assert report.notes and "100/100" in report.notes[0]
         assert not any(r.theorem == "se4_printed" for r in report.rows)
         ok = True

@@ -254,11 +254,40 @@ def _worst_norm_bound_gaps():
     return worst
 
 
+@cache
+def _trapezoid_50_digits(a, b, q, da, db):
+    """The da and pp proofs' bounds at 50 digits, from the trapezoid
+    identity (f(a)+f(b))/2 - mean(f) = (b-a)/2 int (1-2t) f'(ta+(1-t)b) dt:
+    the triangle step, the power-mean step for pp, and the convex envelope
+    t|f'(a)|^k + (1-t)|f'(b)|^k.  Each integral is split at the kink t = 1/2."""
+    with mpmath.workdps(50):
+        a, b, q, da, db = map(mpmath.mpf, (a, b, q, da, db))
+        kernel = lambda t: abs(1 - 2 * t)
+        quad = lambda g: mpmath.quad(g, [0, 0.5, 1])
+        half = (b - a) / 2
+        da_ref = half * quad(lambda t: kernel(t) * (t * da + (1 - t) * db))
+        envelope = quad(lambda t: kernel(t) * (t * da ** q + (1 - t) * db ** q))
+        return da_ref, half * quad(kernel) ** (1 - 1 / q) * envelope ** (1 / q)
+
+
+def _worst_trapezoid_gaps():
+    """The worst relative gap of each of da and pp, as THEOREMS evaluates
+    it, from its proof's bound at 50 digits."""
+    worst = dict.fromkeys(("da", "pp"), 0.0)
+    for (a, b), q, (da, db) in itertools.product(PROOF_INTERVALS, PROOF_Q, PROOF_DERIVATIVES):
+        # The sides read f' at a and b only; f = x gives a finite lhs.
+        f = X._replace(derivative={a: da, b: db}.__getitem__)
+        for theorem, ref in zip(worst, _trapezoid_50_digits(a, b, q, da, db)):
+            _, rhs = THEOREMS[theorem].sides(f, a, b, None, q)
+            worst[theorem] = max(worst[theorem], float(abs(rhs - ref) / ref))
+    return worst
+
+
 class TestProofConstants:
-    """The se2, s1, se5, se6, s2 and s3 constants are the integrals their
-    proofs evaluate (ROADMAP item 9); the worst gaps found were 2.3e-16
-    (se2), 9.1e-17 (s1), 6.4e-16 (se5), 5.5e-16 (se6), 5.0e-16 (s2) and
-    3.3e-16 (s3)."""
+    """The se2, s1, se5, se6, s2, s3, da and pp constants are the integrals
+    their proofs evaluate (ROADMAP item 9); the worst gaps found were
+    2.3e-16 (se2), 9.1e-17 (s1), 6.4e-16 (se5), 5.5e-16 (se6), 5.0e-16
+    (s2), 3.3e-16 (s3), 5.6e-17 (da) and 2.0e-16 (pp)."""
 
     def test_se2_and_s1_constants_follow_from_the_proof(self):
         se2, s1 = _worst_proof_gaps()
@@ -286,6 +315,21 @@ class TestProofConstants:
         monkeypatch.setattr(bounds, "arithmetic_mean", lambda iv: exact(iv) * (1 + 1e-12))
         worst = _worst_norm_bound_gaps()
         assert worst["se6"] > 1e-14 and worst["s3"] > 1e-14
+
+    def test_trapezoid_constants_follow_from_the_proof(self):
+        worst = _worst_trapezoid_gaps()
+        assert all(gap < 1e-14 for gap in worst.values()), worst
+
+    @pytest.mark.parametrize("theorem", ["da", "pp"])
+    def test_control_a_perturbed_trapezoid_bound_is_caught(self, monkeypatch, theorem):
+        th = THEOREMS[theorem]
+
+        def perturbed(f, a, b, s, q):
+            lhs, rhs = th.sides(f, a, b, s, q)
+            return lhs, rhs * (1 + 1e-12)
+
+        monkeypatch.setitem(THEOREMS, theorem, th._replace(sides=perturbed))
+        assert _worst_trapezoid_gaps()[theorem] > 1e-14
 
 
 class TestBoundSe5:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sconvexlab
-from sconvexlab import cli
+from sconvexlab import cli, harness
 from sconvexlab.bounds import THEOREMS, evaluate_bound
 from sconvexlab.cli import _handle_from_expr, _parse_grid, build_parser, dispatch, parse_function_dsl
 from sconvexlab.errors import LabError, MissingParam, ParseError
@@ -344,13 +344,19 @@ class TestVerifyCommand:
         # the bytes _csv_lines gives for the same list of reports.
         assert dispatch(["verify", "--suite", suite, "--cases", "3", "--seed", "11", "--format", "csv"]) == 0
         printed = capsys.readouterr().out
-        reports = cli._run_suites(suite, SuiteConfig(seed=11, cases=3))
+        cfg = SuiteConfig(seed=11, cases=3)
+        reports = [r for name, run in harness.SUITES.items() if suite in (name, "all") for r in run(cfg)]
         report = "".join(_csv_lines(reports))
         assert printed.endswith(report)
         summary = printed[: len(printed) - len(report)].splitlines()
         suite_lines = [line for line in summary if line.startswith("suite ")]
         assert len(suite_lines) == len(reports)
         assert all(line.startswith("note: ") for line in summary if line not in suite_lines)
+
+    def test_suite_choices_are_the_suite_table(self):
+        # cli cannot import harness when it loads, so the --suite choices
+        # are written out in COMMANDS: the table's names, then "all".
+        assert cli.COMMANDS["verify"][2]["--suite"][0] == (*harness.SUITES, "all")
 
     def test_props_note_passthrough(self, capsys):
         assert dispatch(["verify", "--suite", "props", "--cases", "3", "--seed", "5"]) == 0
@@ -503,11 +509,16 @@ class TestExitCodes:
 
     def test_more_than_2_to_the_32_cases_is_an_error(self, capsys, monkeypatch):
         # The config is checked before any case runs.
-        monkeypatch.setattr(cli, "run_reduction_suite", lambda cfg: pytest.fail("a case ran"))
+        calls = []
+        monkeypatch.setitem(harness.SUITES, "reductions", lambda cfg: calls.append(cfg) or [])
         assert dispatch(["verify", "--suite", "reductions", "--cases", "4294967297"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: suite needs 1 <= cases <= 2^32, got 4294967297\n"
         assert captured.out == ""
+        assert calls == []
+        # Control: the replaced runner is the one verify calls.
+        assert dispatch(["verify", "--suite", "reductions", "--cases", "1"]) == 0
+        assert calls == [SuiteConfig(cases=1)]
 
     def test_usage_error(self, capsys):
         assert dispatch(["nonsense"]) == 2
@@ -601,13 +612,12 @@ class TestParserReuse:
 
     def test_default_tolerances_come_back(self, capsys, monkeypatch, tmp_path):
         seen = []
-        run_suites = cli._run_suites
-        monkeypatch.setattr(cli, "_run_suites", lambda name, cfg: seen.append(cfg) or run_suites(name, cfg))
+        run = harness.SUITES["reductions"]
+        monkeypatch.setitem(harness.SUITES, "reductions", lambda cfg: seen.append(cfg) or run(cfg))
         argv = ["verify", "--suite", "reductions", "--cases", "10", "--seed", "3", "--out", str(tmp_path / "r.json")]
         assert dispatch(argv + ["--tol", "1e-30"]) == 1
         assert dispatch(argv) == 0
-        assert seen[0] == SuiteConfig(seed=3, cases=10, tol=1e-30)
-        assert seen[1] == SuiteConfig(seed=3, cases=10)
+        assert seen == [SuiteConfig(seed=3, cases=10, tol=1e-30), SuiteConfig(seed=3, cases=10)]
 
     def test_help_and_usage_text(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -1062,19 +1072,20 @@ def test_import_footprint():
 
 
 def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):
-    """A cli.write_report or cli.run_bound_suites set before the first verify
-    is kept when verify binds the harness names; verify runs the bound
-    suites in one call."""
+    """A cli.write_report or cli.SUITES set before the first verify is kept
+    when verify reads the harness names; verify runs the bound suites in
+    one call."""
     script = (
         "import os, sys, sconvexlab.cli as cli\n"
         "from sconvexlab import harness\n"
         "seen = []\n"
         "def write_report(payload, path, fmt):\n"
         "    seen.append('write ' + fmt)\n"
-        "def run_bound_suites(cfg, theorems):\n"
-        "    seen.append('bounds ' + str(len(theorems)))\n"
-        "    return harness.run_bound_suites(cfg, theorems)\n"
-        "cli.write_report, cli.run_bound_suites = write_report, run_bound_suites\n"
+        "def run_bound_suites(cfg):\n"
+        "    reports = harness.run_bound_suites(cfg)\n"
+        "    seen.append('bounds ' + str(len(reports)))\n"
+        "    return reports\n"
+        "cli.write_report, cli.SUITES = write_report, {**harness.SUITES, 'bounds': run_bound_suites}\n"
         "code = cli.dispatch(['verify', '--suite', 'bounds', '--cases', '2', '--format', 'csv', '--out', sys.argv[1]])\n"
         "print(code, seen, cli.write_report is write_report, cli.render_json is harness.render_json,\n"
         "      os.path.exists(sys.argv[1]))\n"

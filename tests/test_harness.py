@@ -38,6 +38,12 @@ from sconvexlab.means_bounds import PROPOSITIONS
 CFG = SuiteConfig(seed=42, cases=40)
 
 
+def _verify(suite, tmp_path, seed, cases):
+    """Run verify --suite suite through the command line, its report to a file."""
+    argv = ["verify", "--suite", suite, "--seed", str(seed), "--cases", str(cases), "--out", str(tmp_path / "r.json")]
+    assert cli.dispatch(argv) == 0
+
+
 def _corrupt_identity_instances(monkeypatch):
     """Give every identity case f = x^2 on [1, 3] with the wrong f' = 3x^2."""
     corrupted = FuncHandle(value=lambda x: x ** 2, derivative=lambda x: 3 * x ** 2)
@@ -46,7 +52,7 @@ def _corrupt_identity_instances(monkeypatch):
 
 class TestIdentitySuite:
     def test_clean_run(self):
-        report = run_identity_suite(CFG)
+        report = run_identity_suite(CFG)[0]
         assert report.cases_run == 40
         assert report.violations == ()
         assert report.worst_margin >= -harness._IDENTITY_TOL
@@ -55,7 +61,7 @@ class TestIdentitySuite:
         # value says x^2 but the declared derivative is 3x^2: the identity
         # must flag the mismatch as a violation, not an error.
         _corrupt_identity_instances(monkeypatch)
-        report = run_identity_suite(CFG)
+        report = run_identity_suite(CFG)[0]
         assert len(report.violations) == CFG.cases
         assert {r.theorem for r in report.violations} == {"identity"}
 
@@ -65,17 +71,17 @@ class TestIdentitySuite:
         every case at seed 42, and by 1 + 1e-8 none."""
         real = harness.lemma_identity_rhs
         monkeypatch.setattr(harness, "lemma_identity_rhs", lambda *args: real(*args) * (1.0 + eps))
-        assert len(run_identity_suite(CFG).violations) == violated
+        assert len(run_identity_suite(CFG)[0].violations) == violated
 
     def test_determinism(self):
-        r1 = run_identity_suite(CFG)
-        r2 = run_identity_suite(CFG)
+        r1 = run_identity_suite(CFG)[0]
+        r2 = run_identity_suite(CFG)[0]
         assert r1.rows == r2.rows
         assert r1.worst_margin == r2.worst_margin
 
     def test_nearby_seeds_draw_different_cases(self):
         def windows(seed):
-            return {(r.a, r.b) for r in run_identity_suite(SuiteConfig(seed=seed, cases=1000)).rows}
+            return {(r.a, r.b) for r in run_identity_suite(SuiteConfig(seed=seed, cases=1000))[0].rows}
 
         assert not windows(1) & windows(2)
 
@@ -88,9 +94,19 @@ class TestBoundSuites:
         assert report.suite_id == f"bounds:{theorem}"
         assert report.skipped == 0
 
-    def test_unknown_theorem(self):
-        with pytest.raises(DomainError):
-            run_bound_suites(CFG, ("SE9000",))
+    def test_unknown_theorem(self, monkeypatch):
+        # An unknown id is an error before any case runs, also beside known ids.
+        monkeypatch.setattr(harness, "_case_rng", lambda cfg, i: pytest.fail("a case ran"))
+        for theorems in (("SE9000",), ("se99",), ("se2", "se99")):
+            with pytest.raises(DomainError, match="unknown bound suite"):
+                run_bound_suites(CFG, theorems)
+
+    def test_the_default_is_every_theorem_in_registry_order(self):
+        cfg = SuiteConfig(seed=5, cases=3)
+        default, explicit = run_bound_suites(cfg), run_bound_suites(cfg, THEOREMS)
+        assert [r.suite_id for r in default] == [f"bounds:{theorem}" for theorem in THEOREMS]
+        for one, other in zip(default, explicit, strict=True):
+            assert [list(map(repr, row)) for row in one.rows] == [list(map(repr, row)) for row in other.rows]
 
     @pytest.mark.parametrize("theorem", THEOREMS, ids=str.upper)
     def test_a_weakened_bound_fails(self, monkeypatch, theorem):
@@ -179,27 +195,36 @@ class TestBoundSuites:
                 swapped.add(rng.random() < 0.2)
         assert swapped == {True, False}
 
-    def test_each_case_is_seeded_once(self, monkeypatch):
+    def test_each_case_is_seeded_once(self, monkeypatch, tmp_path):
         """verify --suite bounds builds one generator per case, not one per
         case and theorem."""
         seeded = []
         real = harness._case_rng
         monkeypatch.setattr(harness, "_case_rng", lambda cfg, i: seeded.append(i) or real(cfg, i))
-        cli._run_suites("bounds", SuiteConfig(seed=1, cases=7))
+        _verify("bounds", tmp_path, seed=1, cases=7)
         assert seeded == list(range(7))
 
-    def test_every_suite_seeds_each_case_once(self, monkeypatch):
+    def test_every_suite_seeds_each_case_once(self, monkeypatch, tmp_path):
         """verify --suite all seeds cases 0-6 once per suite, in report order:
         identity, bounds, reductions, props."""
         seeded = []
         real = harness._case_rng
         monkeypatch.setattr(harness, "_case_rng", lambda cfg, i: seeded.append(i) or real(cfg, i))
-        runners = ("run_identity_suite", "run_bound_suites", "run_reduction_suite", "run_prop_crosscheck_suite")
-        for name in runners:
-            run = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, run=run, name=name: seeded.append(name) or run(*args))
-        cli._run_suites("all", SuiteConfig(seed=1, cases=7))
-        assert seeded == [x for name in runners for x in (name, *range(7))]
+        names = ("identity", "bounds", "reductions", "props")
+        for name, run in harness.SUITES.items():
+            monkeypatch.setitem(harness.SUITES, name, lambda cfg, run=run, name=name: seeded.append(name) or run(cfg))
+        _verify("all", tmp_path, seed=1, cases=7)
+        assert seeded == [x for name in names for x in (name, *range(7))]
+
+
+class TestSuiteTable:
+    def test_every_runner_returns_its_list_of_reports(self):
+        cfg = SuiteConfig(seed=2, cases=2)
+        for name, run in harness.SUITES.items():
+            reports = run(cfg)
+            assert type(reports) is list and all(type(r) is SuiteReport for r in reports), name
+            assert len(reports) == (len(THEOREMS) if name == "bounds" else 1)
+            assert all(r.suite_id.split(":")[0] == name for r in reports)
 
 
 class TestProofCoverage:
@@ -267,7 +292,7 @@ class TestProofRuleControl:
 
 class TestReductionSuite:
     def test_clean_and_tight(self):
-        report = run_reduction_suite(SuiteConfig(seed=13, cases=100))
+        report = run_reduction_suite(SuiteConfig(seed=13, cases=100))[0]
         assert report.violations == ()
         assert report.worst_margin >= -1e-12
         names = {r.theorem for r in report.rows}
@@ -277,17 +302,17 @@ class TestReductionSuite:
         """The suite can fail: bound_s1 scaled by 1 + 1e-10 breaks the
         se2_s1_vs_s1 collapse in every case at seed 42."""
         cfg = SuiteConfig(seed=42, cases=20)
-        assert run_reduction_suite(cfg).violations == ()
+        assert run_reduction_suite(cfg)[0].violations == ()
         real = harness.bound_s1
         monkeypatch.setattr(harness, "bound_s1", lambda *args: real(*args) * (1.0 + 1e-10))
-        violations = run_reduction_suite(cfg).violations
+        violations = run_reduction_suite(cfg)[0].violations
         assert len(violations) == 20
         assert {(r.case, r.theorem) for r in violations} == {(i, "se2_s1_vs_s1") for i in range(20)}
 
 
 class TestPropSuite:
     def test_clean_with_notes(self):
-        report = run_prop_crosscheck_suite(SuiteConfig(seed=17, cases=5))
+        report = run_prop_crosscheck_suite(SuiteConfig(seed=17, cases=5))[0]
         assert report.violations == ()
         assert report.notes and "printed" in report.notes[0]
         assert "5/5" in report.notes[0]
@@ -299,10 +324,10 @@ class TestPropSuite:
         violations over the 5 cases at seed 42, in the power family's
         cross-check and its se3 and se7 rows."""
         cfg = SuiteConfig(seed=42, cases=5)
-        assert run_prop_crosscheck_suite(cfg).violations == ()
+        assert run_prop_crosscheck_suite(cfg)[0].violations == ()
         real = harness.prop_power_lhs
         monkeypatch.setattr(harness, "prop_power_lhs", lambda *args: real(*args) * (1.0 + 1e-7))
-        violations = run_prop_crosscheck_suite(cfg).violations
+        violations = run_prop_crosscheck_suite(cfg)[0].violations
         assert len(violations) == 60
         assert {r.case for r in violations} == set(range(5))
         assert {r.theorem for r in violations} == {"prop_power_xcheck", "se3", "se7"}
@@ -311,9 +336,9 @@ class TestPropSuite:
         """Replacing means_bounds.bound_se6 moves exactly the se7 and se10
         rows, so the table binds its bounds late, as tracing needs."""
         cfg = SuiteConfig(seed=17, cases=3)
-        before = run_prop_crosscheck_suite(cfg).rows
+        before = run_prop_crosscheck_suite(cfg)[0].rows
         monkeypatch.setattr(means_bounds, "bound_se6", lambda df_a, df_b, iv, s, q: 1e6)
-        after = run_prop_crosscheck_suite(cfg).rows
+        after = run_prop_crosscheck_suite(cfg)[0].rows
         assert len(after) == len(before)
         moved = 0
         for old, new in zip(before, after):
@@ -351,7 +376,7 @@ class TestPropSuite:
                             q_row = q if carries_q else None
                             rhs = means_bounds.prop_rhs(pid, iv, s, q_row)
                             expected.append(harness._bound_row(i, pid, iv.a, iv.b, s, q_row, lhs, rhs, DEFAULT_BOUND_TOL))
-        assert run_prop_crosscheck_suite(cfg).rows == tuple(expected)
+        assert run_prop_crosscheck_suite(cfg)[0].rows == tuple(expected)
 
     def test_oracle_matches_power_sum_bit_for_bit(self):
         """Each oracle's value is its one term c * x^p, which gives the bits
@@ -373,7 +398,7 @@ class TestPropSuite:
 
 class TestReportSerialization:
     def test_json_schema_keys(self):
-        report = run_reduction_suite(SuiteConfig(seed=2, cases=5))
+        report = run_reduction_suite(SuiteConfig(seed=2, cases=5))[0]
         payload = report_to_dict(report)
         assert set(payload) == {
             "suite", "seed", "cases_run", "skipped", "violations",
@@ -384,7 +409,7 @@ class TestReportSerialization:
 
     def test_violation_entries_serialized(self, monkeypatch):
         _corrupt_identity_instances(monkeypatch)
-        report = run_identity_suite(SuiteConfig(seed=42, cases=1))
+        report = run_identity_suite(SuiteConfig(seed=42, cases=1))[0]
         payload = report_to_dict(report)
         assert len(payload["violations"]) == 1
         entry = payload["violations"][0]
@@ -396,15 +421,15 @@ class TestReportSerialization:
         }
 
     def test_json_determinism_modulo_runtime(self):
-        r1 = run_identity_suite(CFG)
-        r2 = run_identity_suite(CFG)
+        r1 = run_identity_suite(CFG)[0]
+        r2 = run_identity_suite(CFG)[0]
         d1, d2 = report_to_dict(r1), report_to_dict(r2)
         d1["runtime_ms"] = d2["runtime_ms"] = 0.0
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
     def test_csv_layout_and_determinism(self):
-        r1 = run_reduction_suite(SuiteConfig(seed=19, cases=8))
-        r2 = run_reduction_suite(SuiteConfig(seed=19, cases=8))
+        r1 = run_reduction_suite(SuiteConfig(seed=19, cases=8))[0]
+        r2 = run_reduction_suite(SuiteConfig(seed=19, cases=8))[0]
         text = "".join(_csv_lines([r1]))
         assert text == "".join(_csv_lines([r2]))
         lines = text.splitlines()
@@ -418,8 +443,8 @@ class TestReportSerialization:
 
     def test_render_json_list(self):
         # A list of one report is one object, a longer list an array.
-        one = run_reduction_suite(SuiteConfig(seed=1, cases=2))
-        two = run_identity_suite(SuiteConfig(seed=1, cases=2))
+        one = run_reduction_suite(SuiteConfig(seed=1, cases=2))[0]
+        two = run_identity_suite(SuiteConfig(seed=1, cases=2))[0]
         assert json.loads(render_json([one])) == report_to_dict(one)
         parsed = json.loads(render_json([one, two]))
         assert isinstance(parsed, list) and [r["suite"] for r in parsed] == ["reductions", "identity"]
@@ -442,7 +467,7 @@ def _csv_writer_reference(reports):
 
 @pytest.fixture(scope="module")
 def all_suites():
-    return cli._run_suites("all", SuiteConfig(seed=3, cases=4))
+    return [report for run in harness.SUITES.values() for report in run(SuiteConfig(seed=3, cases=4))]
 
 
 class _StrFloat(float):
