@@ -58,9 +58,8 @@ It reads the harness names it uses as attributes of this module, with no
 binding step: a name set here (cli.SUITES = ...) is the one verify reads,
 and __getattr__ returns harness's object for any other.
 quadrature is imported by bounds.integrate on the first numerical
-integral, which only verify's identity and props suites make, and the
-token loop's patterns are compiled only when it runs: means, defect,
-bound, sweep and verify --suite bounds|reductions compile neither.
+integral, which only verify's identity and props suites make: means,
+defect, bound, sweep and verify --suite bounds|reductions never compile it.
 """
 
 from __future__ import annotations
@@ -78,20 +77,14 @@ from .means import OrderedInterval, arithmetic_mean, gen_log_mean, gen_log_mean_
 from .bounds import THEOREMS, bullen_type_defect, evaluate_bound
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-# The grammar's tokens, keyed by the name a ParseError gives as expected.
-# They and _WS are pattern strings: only _parse_tokens uses them, and it
-# compiles each where it uses it (re caches the compiled pattern), so an
-# import or a well-formed text compiles none of them.
-_TOKEN = {"number": _NUMBER, **{f"'{c}'": re.escape(c) for c in "*x^+"}}
-_WS = r"\s*"
 # What a parser with no option looking like a negative number takes for a
 # negative number, not an option: any negative decimal literal, exponent
 # included.  build_parser gives it to every parser it makes, in place of
 # argparse's own pattern, which has no exponent.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
-# One term with the whitespace around it and the "+" after it (or the end of
-# the text), captured whole, with its coefficient and exponent.
-_TERM = re.compile(rf"(\s*({_NUMBER})\s*(?:\*\s*x\s*\^\s*({_NUMBER})\s*)?(?:\+(?!\s*\Z)|\Z))")
+# One term as far as it goes, with the whitespace around each token: a
+# token is tried only when every token before it matched.
+_TERM = re.compile(rf"\s*(?:({_NUMBER})\s*(?:(\*)\s*(?:(x)\s*(?:(\^)\s*(?:({_NUMBER})\s*)?)?)?)?)?")
 
 
 def _fmt(x: float) -> str:
@@ -99,44 +92,25 @@ def _fmt(x: float) -> str:
 
 
 def parse_function_dsl(text: str) -> PowerSum:
-    """Parse the coefficient-mandatory power-sum grammar into a PowerSum."""
-    terms = _TERM.findall(text)
-    # The matches never overlap, so lengths that add up to the text's tile
-    # it, and then the text is in the grammar.  No number can run on into
-    # the token after it, so these are the token loop's terms.
-    if terms and sum(len(term) for term, _, _ in terms) == len(text):
-        return PowerSum((c, p or 0.0) for _, c, p in terms)
-    return _parse_tokens(text)
+    """Parse the coefficient-mandatory power-sum grammar into a PowerSum.
 
-
-def _parse_tokens(text: str) -> PowerSum:
-    """parse_function_dsl token by token: slower, but a malformed text
-    raises a ParseError with the offset and the token expected there."""
-    ws = re.compile(_WS)
-    pos = ws.match(text).end()
-
-    def take(expected: str) -> str:
-        # Match the expected token at pos, then skip the whitespace after it.
-        nonlocal pos
-        m = re.compile(_TOKEN[expected]).match(text, pos)
-        if not m:
-            raise ParseError(pos, expected)
-        pos = ws.match(text, m.end()).end()
-        return m.group()
-
-    terms = []
+    A malformed text raises a ParseError with the offset of the first token
+    that does not match and the token expected there."""
+    terms, pos = [], 0
     while True:
-        coeff = float(take("number"))
-        exponent = 0.0
-        if text.startswith("*", pos):
-            take("'*'")
-            take("'x'")
-            take("'^'")
-            exponent = float(take("number"))
-        terms.append((coeff, exponent))
+        m = _TERM.match(text, pos)
+        coeff, star, x, caret, exponent = m.groups()
+        pos = m.end()
+        if coeff is None or caret and exponent is None:
+            raise ParseError(pos, "number")
+        if star and not caret:
+            raise ParseError(pos, "'^'" if x else "'x'")
+        terms.append((coeff, exponent or 0.0))
         if pos == len(text):
             return PowerSum(terms)
-        take("'+'")
+        if text[pos] != "+":
+            raise ParseError(pos, "'+'")
+        pos += 1
 
 
 def _handle_from_expr(expr: str) -> FuncHandle:
@@ -239,11 +213,14 @@ def _parse_grid(text: str) -> list[float]:
         raise LabError(f"grid argument must be three numbers LO:HI:STEP, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
         raise LabError(f"grid argument must be finite with LO <= HI and STEP > 0, got {text!r}")
+    # A point past HI by at most the slack is taken as HI.  The slack is at
+    # most half a step, so only one point can be.
+    slack = min(1e-12, step / 2)
     values = []
     k = 0
     while True:
         v = lo + k * step
-        if v > hi + 1e-12:
+        if v > hi + slack:
             break
         values.append(min(v, hi))
         if len(values) > _GRID_MAX_POINTS:

@@ -32,7 +32,43 @@ BOUND_X2 = ["--f", "1*x^2", "--a", "1", "--b", "3"]
 
 # Terms of the function grammar, and fragments to break them with.
 DSL_TERMS = ("1", "-0", "2.5", ".5", "1.", "+3E-2", "1e999", "1*x^2", "-0.5 * x ^ -1", "1e3*x^.5", " 4*x^+0 ")
-DSL_JUNK = ("", "1", ".", "e", "E", "-", "+", "*", "x", "^", "y", " ", "\t", "\u0663", "1e", "*x^")
+DSL_JUNK = ("", "1", ".", "e", "E", "-", "+", "*", "x", "^", "y", " ", "\t", "\u0663", "1e", "*x^", "\n", "+ ", "x^2")
+
+# The reference parser for the property test below: the token loop
+# parse_function_dsl once fell back to, kept as it was.  Its tokens are
+# keyed by the name a ParseError gives as expected.
+_TOKEN = {"number": cli._NUMBER, **{f"'{c}'": re.escape(c) for c in "*x^+"}}
+_WS = r"\s*"
+
+
+def _parse_tokens(text: str) -> PowerSum:
+    """parse_function_dsl token by token: slower, but a malformed text
+    raises a ParseError with the offset and the token expected there."""
+    ws = re.compile(_WS)
+    pos = ws.match(text).end()
+
+    def take(expected: str) -> str:
+        # Match the expected token at pos, then skip the whitespace after it.
+        nonlocal pos
+        m = re.compile(_TOKEN[expected]).match(text, pos)
+        if not m:
+            raise ParseError(pos, expected)
+        pos = ws.match(text, m.end()).end()
+        return m.group()
+
+    terms = []
+    while True:
+        coeff = float(take("number"))
+        exponent = 0.0
+        if text.startswith("*", pos):
+            take("'*'")
+            take("'x'")
+            take("'^'")
+            exponent = float(take("number"))
+        terms.append((coeff, exponent))
+        if pos == len(text):
+            return PowerSum(terms)
+        take("'+'")
 
 
 class TestFunctionGrammar:
@@ -83,6 +119,15 @@ class TestFunctionGrammar:
         ("1*x^2 +", 7, "number"),
         ("   ", 3, "number"),
         ("1 2", 2, "'+'"),
+        ("1*x^+", 4, "number"),
+        ("1+", 2, "number"),
+        ("", 0, "number"),
+        ("1 * y", 4, "'x'"),
+        ("1*x 2", 4, "'^'"),
+        ("1*x^2 +\t", 8, "number"),
+        ("1 + + 2", 4, "number"),
+        ("1*x^2*x^3", 5, "'+'"),
+        ("1e*x^2", 1, "'+'"),
     ])
     def test_error_contract(self, text, offset, expected):
         with pytest.raises(ParseError) as err:
@@ -90,11 +135,15 @@ class TestFunctionGrammar:
         assert (err.value.offset, err.value.expected) == (offset, expected)
         assert str(err.value) == f"parse error at offset {offset}: expected {expected}"
 
+    def test_trailing_newline_and_non_ascii_digits(self):
+        assert parse_function_dsl("1*x^2\n").terms == ((1.0, 2.0),)
+        assert parse_function_dsl("\u0663*x^2").terms == ((3.0, 2.0),)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_term_scan_agrees_with_the_token_loop(self, data):
-        """The term scan gives the token loop's terms, bit for bit, and any
-        text it does not cover raises the loop's error."""
+        """The term scan gives the reference token loop's terms, bit for
+        bit, and raises its error on any text outside the grammar."""
         # Terms and separators, spaced or not, then up to three edits.
         pieces = data.draw(st.lists(st.sampled_from(DSL_TERMS), min_size=1, max_size=4))
         text = data.draw(st.sampled_from(("+", " + ", "+ ", "\t+"))).join(pieces)
@@ -109,7 +158,7 @@ class TestFunctionGrammar:
             except LabError as exc:
                 return type(exc), str(exc)
 
-        assert outcome(parse_function_dsl) == outcome(cli._parse_tokens)
+        assert outcome(parse_function_dsl) == outcome(_parse_tokens)
 
     def test_roundtrip_identity(self):
         rng = random.Random(71)
@@ -541,6 +590,15 @@ class TestExitCodes:
         assert len(_parse_grid("1:10000:1")) == 10_000
         with pytest.raises(LabError):
             _parse_grid("1:10001:1")
+
+    def test_grid_narrower_than_the_slack_gives_each_point_once(self, capsys, tmp_path):
+        # HI - LO is below the 1e-12 slack a wider grid keeps past HI.
+        grid = "0.5:0.5000000000001:1e-14"
+        assert _parse_grid(grid) == [min(0.5 + k * 1e-14, 0.5000000000001) for k in range(11)]
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--theorem", "se2", *BOUND_X2, "--s-grid", grid, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 11 and len(set(rows)) == 11
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "reductions", "--cases", "2", "--out", "{missing}/r.csv"],
