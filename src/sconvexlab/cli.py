@@ -53,10 +53,8 @@ overwritten in place and then cut to length, never truncated first.
 verify is the one command that runs the suites, so harness (and
 means_bounds, which it imports) is imported on verify's first call: the
 other commands never compile either module.  verify runs, in table
-order, each runner of harness.SUITES that --suite names (or all of them).
-It reads the harness names it uses as attributes of this module, with no
-binding step: a name set here (cli.SUITES = ...) is the one verify reads,
-and __getattr__ returns harness's object for any other.
+order, each runner of harness.SUITES that --suite names (or all of them),
+and calls every harness name it uses as an attribute of harness.
 quadrature is imported by bounds.integrate on the first numerical
 integral, which only verify's identity and props suites make: means,
 defect, bound, sweep and verify --suite bounds|reductions never compile it.
@@ -151,18 +149,10 @@ def _cmd_bound(args) -> int:
     return 0 if report.holds else 1
 
 
-# The harness names verify reads as attributes of this module: a name set
-# here is the one verify uses, and __getattr__ reads any other from harness.
-_HARNESS_NAMES = (
-    "SUITES",
-    "SuiteConfig",
-    "_csv_lines",
-    "render_json",
-    # verify calls none of these three; bench/spans.py still wraps them here.
-    "run_identity_suite",
-    "run_prop_crosscheck_suite",
-    "run_reduction_suite",
-)
+# Three harness runners, read from harness by __getattr__, that are names
+# of this module only because bench/spans.py wraps them here; verify calls
+# none of them.
+_HARNESS_NAMES = ("run_identity_suite", "run_prop_crosscheck_suite", "run_reduction_suite")
 
 
 def __getattr__(name):
@@ -174,9 +164,10 @@ def __getattr__(name):
 
 
 def _cmd_verify(args) -> int:
-    cli = sys.modules[__name__]
-    cfg = cli.SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
-    reports = [report for name, run in cli.SUITES.items() if args.suite in (name, "all") for report in run(cfg)]
+    from . import harness
+
+    cfg = harness.SuiteConfig(seed=args.seed, cases=args.cases, tol=args.tol)
+    reports = [report for name, run in harness.SUITES.items() if args.suite in (name, "all") for report in run(cfg)]
     # Write the file before any output, so a failed write prints only its
     # error line.
     if args.out:
@@ -222,10 +213,13 @@ def _parse_grid(text: str) -> list[float]:
         v = lo + k * step
         if v > hi + slack:
             break
-        values.append(min(v, hi))
+        v = min(v, hi)
+        if values and v == values[-1]:
+            raise LabError(f"grid argument {text!r} has a STEP below the float spacing near {v!r}")
+        values.append(v)
         if len(values) > _GRID_MAX_POINTS:
-            # Checked in the loop: a step below the float spacing near LO
-            # leaves v fixed, which no count taken beforehand would catch.
+            # Counted as the points are made, since lo + k * step rounds; a
+            # step that leaves v fixed is caught above, at the second point.
             raise LabError(f"grid argument {text!r} has more than {_GRID_MAX_POINTS} points")
         k += 1
     return values
@@ -262,11 +256,12 @@ def write_text(path, chunks) -> None:
 
 def _report_chunks(reports, fmt: str):
     """A JSON report as one string, or a CSV report streamed case by case."""
-    cli = sys.modules[__name__]
+    from . import harness
+
     if fmt == "json":
-        return (cli.render_json(reports),)
+        return (harness.render_json(reports),)
     if fmt == "csv":
-        return cli._csv_lines(reports)
+        return harness._csv_lines(reports)
     raise DomainError(f"unknown report format {fmt!r}")
 
 

@@ -58,7 +58,6 @@ from .funcmodel import (
     sample_dconvex_instance,
     sample_interval,
 )
-from .means import OrderedInterval
 from .bounds import (
     DEFAULT_BOUND_TOL,
     THEOREMS,
@@ -170,11 +169,12 @@ def _bound_row(case: int, theorem: str, a: float, b: float, s, q, lhs: float, rh
     return CaseRow(case, theorem, a, b, s, q, lhs, rhs, rhs - lhs, verdict(lhs, rhs, tol))
 
 
-def _match_row(case: int, theorem: str, iv, s, q, lhs: float, rhs: float, tol: float) -> CaseRow:
-    """Row for an equality check: margin is the negated relative discrepancy."""
+def _match_row(case: int, theorem: str, iv, s, lhs: float, rhs: float, tol: float) -> CaseRow:
+    """Row for an equality check, with no q: margin is the negated relative
+    discrepancy."""
     margin = -abs(lhs - rhs) / (1.0 + abs(lhs))
     status = "ok" if margin >= -tol else "violation"
-    return CaseRow(case, theorem, iv.a, iv.b, s, q, lhs, rhs, margin, status)
+    return CaseRow(case, theorem, iv.a, iv.b, s, None, lhs, rhs, margin, status)
 
 
 def run_identity_suite(cfg: SuiteConfig) -> list[SuiteReport]:
@@ -185,82 +185,78 @@ def run_identity_suite(cfg: SuiteConfig) -> list[SuiteReport]:
         f, iv = sample_dconvex_instance(rng, _GEN)
         lhs = bullen_defect_signed(f, iv)
         rhs = lemma_identity_rhs(f, iv)
-        yield 0, (_match_row(i, "identity", iv, None, None, lhs, rhs, tol),)
+        yield 0, (_match_row(i, "identity", iv, None, lhs, rhs, tol),)
 
     return _run(cfg, ("identity",), case)
 
 
-def _convex_f_instance(rng: random.Random) -> tuple[FuncHandle, OrderedInterval]:
+# Case i's instance (f, a, b, s), as each family's draw (i, rng, s, q) gives it.
+_Instance = tuple[FuncHandle, float, float, float]
+
+
+def _base_instance(i: int, rng: random.Random, s: float, q: float) -> _Instance:
+    """funcmodel's base family: f' >= 0 and convex, so |f'|^q is s-convex."""
+    f, iv = sample_dconvex_instance(rng, _GEN)
+    return f, iv.a, iv.b, s
+
+
+def _convex_f_instance(i: int, rng: random.Random, s: float, q: float) -> _Instance:
     """f with nondecreasing f' (exponents 0 or in [1,3]), so f is convex."""
     terms = []
     for _ in range(rng.randint(1, 3)):
         exponent = 0.0 if rng.random() < 0.3 else rng.uniform(1.0, 3.0)
         terms.append((rng.uniform(0.05, 2.0), exponent))
-    dps = PowerSum(terms)
-    return handle_from_power_sum(dps.antiderivative()), sample_interval(rng, _GEN)
+    iv = sample_interval(rng, _GEN)
+    return handle_from_power_sum(PowerSum(terms).antiderivative()), iv.a, iv.b, s
 
 
-def _concave_power_instance(rng: random.Random, q: float) -> tuple[FuncHandle, OrderedInterval]:
+def _concave_power_instance(i: int, rng: random.Random, s: float, q: float) -> _Instance:
     """f' = c x^m with 0 < m q <= 1, so |f'|^q is concave."""
     m = rng.uniform(0.05, 1.0) / q
     c = rng.uniform(0.1, 2.0)
-    f = PowerSum([(c, m)]).antiderivative()
-    return handle_from_power_sum(f), sample_interval(rng, _GEN)
+    iv = sample_interval(rng, _GEN)
+    return handle_from_power_sum(PowerSum([(c, m)]).antiderivative()), iv.a, iv.b, s
 
 
-def _s_power_instance(rng: random.Random, s: float) -> tuple[FuncHandle, float, float]:
-    """f = c x^sigma with sigma >= s (hence s-convex), on [u, v] with u >= 0."""
+def _s_power_instance(i: int, rng: random.Random, s: float, q: float) -> _Instance:
+    """f = c x^sigma with sigma >= s (hence s-convex), on [u, v] with u >= 0.
+    Case 0 is the sharp instance x^0.5 on [0, 1] at s = 0.5, where the
+    endpoint-average constant is attained."""
+    if i == 0:
+        return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
     sigma = rng.uniform(max(s, 0.3), 1.0)
     c = rng.uniform(0.2, 2.0)
     f = handle_from_power_sum(PowerSum([(c, sigma)]))
     if rng.random() < 0.25:
-        u, v = 0.0, rng.uniform(_GEN.lo_min, _GEN.hi_max)
-    else:
-        iv = sample_interval(rng, _GEN)
-        u, v = iv.a, iv.b
-    return f, u, v
-
-
-def _sconvex_term_instance(rng: random.Random, s: float) -> tuple[FuncHandle, OrderedInterval]:
-    """f' = c x^s, drawn only when s * k >= 1 (k = q for "|f'|^q", else 1):
-    c^k x^(s k) is then convex as well as s-convex (ROADMAP item 5)."""
-    c = rng.uniform(0.1, 2.0)
-    f = PowerSum([(c, s)]).antiderivative()
-    return handle_from_power_sum(f), sample_interval(rng, _GEN)
-
-
-def _family(th: Theorem, s: float, q: float) -> str:
-    """The instance family whose draws meet th's hypothesis at the case's s
-    and q.  Theorems with one family share its instance within a case."""
-    if th.hypothesis == "f" and th.takes_s:
-        return "s-power"
-    if th.concave:
-        return "concave"
-    if th.hypothesis == "f":
-        return "convex f"
-    if th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0:
-        return "s-term swap"
-    return "base"
-
-
-def _draw_family(family: str, i: int, rng: random.Random, s: float,
-                 q: float) -> tuple[FuncHandle, float, float, float]:
-    """Case i's instance from family, as (f, a, b, s), drawn with rng."""
-    if family == "s-power":
-        if i == 0:
-            # Sharp instance: the endpoint-average constant is attained.
-            return handle_from_power_sum(PowerSum([(1.0, 0.5)])), 0.0, 1.0, 0.5
-        f, u, v = _s_power_instance(rng, s)
-        return f, u, v, s
-    if family == "concave":
-        f, iv = _concave_power_instance(rng, q)
-    elif family == "convex f":
-        f, iv = _convex_f_instance(rng)
-    elif family == "s-term swap" and rng.random() < 0.2:
-        f, iv = _sconvex_term_instance(rng, s)
-    else:
-        f, iv = sample_dconvex_instance(rng, _GEN)
+        return f, 0.0, rng.uniform(_GEN.lo_min, _GEN.hi_max), s
+    iv = sample_interval(rng, _GEN)
     return f, iv.a, iv.b, s
+
+
+def _sconvex_term_instance(i: int, rng: random.Random, s: float, q: float) -> _Instance:
+    """On one draw in five f' = c x^s, else a base instance; drawn only when
+    s * k >= 1 (k = q for "|f'|^q", else 1): c^k x^(s k) is then convex as
+    well as s-convex (ROADMAP item 5)."""
+    if rng.random() >= 0.2:
+        return _base_instance(i, rng, s, q)
+    c = rng.uniform(0.1, 2.0)
+    iv = sample_interval(rng, _GEN)
+    return handle_from_power_sum(PowerSum([(c, s)]).antiderivative()), iv.a, iv.b, s
+
+
+def _family(th: Theorem, s: float, q: float):
+    """The draw of the instance family whose instances meet th's hypothesis
+    at the case's s and q.  Theorems with one family share its instance
+    within a case."""
+    if th.hypothesis == "f" and th.takes_s:
+        return _s_power_instance
+    if th.concave:
+        return _concave_power_instance
+    if th.hypothesis == "f":
+        return _convex_f_instance
+    if th.takes_s and s * (q if th.uses_q else 1.0) >= 1.0:
+        return _sconvex_term_instance
+    return _base_instance
 
 
 def run_bound_suites(cfg: SuiteConfig, theorems=tuple(THEOREMS)) -> list[SuiteReport]:
@@ -287,15 +283,15 @@ def run_bound_suites(cfg: SuiteConfig, theorems=tuple(THEOREMS)) -> list[SuiteRe
     def case(i, rng):
         s = rng.choice(_S_GRID)
         q = rng.choice(_Q_GRID)
-        families = plans[s, q]
+        draws = plans[s, q]
         after_sq = rng.getstate() if len(ths) > 1 else None
         drawn = {}
-        for j, (th, family) in enumerate(zip(ths, families)):
-            instance = drawn.get(family)
+        for j, (th, draw) in enumerate(zip(ths, draws)):
+            instance = drawn.get(draw)
             if instance is None:
                 if drawn:
                     rng.setstate(after_sq)
-                instance = drawn[family] = _draw_family(family, i, rng, s, q)
+                instance = drawn[draw] = draw(i, rng, s, q)
             f, a, b, s_case = instance
             s_row = s_case if th.takes_s else None
             q_row = q if th.uses_q else None
@@ -377,7 +373,7 @@ def run_prop_crosscheck_suite(cfg: SuiteConfig) -> list[SuiteReport]:
             for s, oracle in oracles:
                 defect = bullen_type_defect(oracle, iv)
                 lhs = prop_lhs(iv, s)
-                rows.append(_match_row(i, xcheck, iv, s, None, lhs, defect, tol))
+                rows.append(_match_row(i, xcheck, iv, s, lhs, defect, tol))
                 df_a, df_b = family_df(iv, s)
                 for pid, carries_q, bound in props:
                     q_row = q if carries_q else None

@@ -575,7 +575,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spec", [
         "nonsense", "a:1:0.1", "0.1:1:nan", "0.1:inf:0.5", "nan:1:0.1",
-        "0.1:1:1e-300", "0.1:0.1:1e-300", "1e10:1e10:1e-13",
+        "0.1:1:1e-300", "0.1:0.1:1e-300", "1e10:1e10:1e-13", "0.5:0.5000000000001:5e-17",
     ])
     def test_bad_grid_spec(self, capsys, tmp_path, spec):
         assert dispatch([
@@ -590,6 +590,12 @@ class TestExitCodes:
         assert len(_parse_grid("1:10000:1")) == 10_000
         with pytest.raises(LabError):
             _parse_grid("1:10001:1")
+
+    @pytest.mark.parametrize("grid", ["0.5:0.5000000000001:5e-17", "1e10:10000000000.00001:1e-6"])
+    def test_grid_step_below_the_float_spacing_is_an_error(self, grid):
+        # lo + k * step rounds to the point before it, which would repeat.
+        with pytest.raises(LabError, match="STEP below the float spacing"):
+            _parse_grid(grid)
 
     def test_grid_narrower_than_the_slack_gives_each_point_once(self, capsys, tmp_path):
         # HI - LO is below the 1e-12 slack a wider grid keeps past HI.
@@ -1130,9 +1136,10 @@ def test_import_footprint():
 
 
 def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):
-    """A cli.write_report or cli.SUITES set before the first verify is kept
-    when verify reads the harness names; verify runs the bound suites in
-    one call."""
+    """A cli.write_report or harness.SUITES entry set before the first
+    verify is the one verify calls; verify runs the bound suites in one
+    call.  cli forwards no harness name but the three runners
+    bench/spans.py wraps there."""
     script = (
         "import os, sys, sconvexlab.cli as cli\n"
         "from sconvexlab import harness\n"
@@ -1143,13 +1150,13 @@ def test_names_replaced_in_cli_before_verify_are_the_ones_it_calls(tmp_path):
         "    reports = harness.run_bound_suites(cfg)\n"
         "    seen.append('bounds ' + str(len(reports)))\n"
         "    return reports\n"
-        "cli.write_report, cli.SUITES = write_report, {**harness.SUITES, 'bounds': run_bound_suites}\n"
+        "cli.write_report, harness.SUITES['bounds'] = write_report, run_bound_suites\n"
         "code = cli.dispatch(['verify', '--suite', 'bounds', '--cases', '2', '--format', 'csv', '--out', sys.argv[1]])\n"
-        "print(code, seen, cli.write_report is write_report, cli.render_json is harness.render_json,\n"
+        "print(code, seen, hasattr(cli, 'SUITES'), cli.run_identity_suite is harness.run_identity_suite,\n"
         "      os.path.exists(sys.argv[1]))\n"
     )
     assert _run_fresh(script, tmp_path / "report.csv") == (
-        f"0 ['bounds {len(THEOREMS)}', 'write csv'] True True False"
+        f"0 ['bounds {len(THEOREMS)}', 'write csv'] False True False"
     )
 
 

@@ -191,7 +191,7 @@ class TestBoundSuites:
         for i in range(cfg.cases):
             rng = harness._case_rng(cfg, i)
             s, q = rng.choice(harness._S_GRID), rng.choice(harness._Q_GRID)
-            if harness._family(THEOREMS["se5"], s, q) == "s-term swap":
+            if harness._family(THEOREMS["se5"], s, q) is harness._sconvex_term_instance:
                 swapped.add(rng.random() < 0.2)
         assert swapped == {True, False}
 
@@ -256,7 +256,7 @@ def _root_term_instances(monkeypatch):
     and never convex."""
     f = handle_from_power_sum(PowerSum([(1.0, 0.5)]).antiderivative())
     monkeypatch.setattr(harness, "sample_dconvex_instance", lambda rng, cfg: (f, OrderedInterval(1.0, 20.0)))
-    monkeypatch.setattr(harness, "_sconvex_term_instance", lambda rng, s: (f, OrderedInterval(1.0, 20.0)))
+    monkeypatch.setattr(harness, "_sconvex_term_instance", lambda i, rng, s, q: (f, 1.0, 20.0, s))
 
 
 class TestProofRuleControl:
@@ -370,7 +370,7 @@ class TestPropSuite:
                     oracle = FuncHandle(value=ps, derivative=ps.derivative())
                     lhs = prop_lhs(iv, s)
                     defect = harness.bullen_type_defect(oracle, iv)
-                    expected.append(harness._match_row(i, xcheck, iv, s, None, lhs, defect, DEFAULT_BOUND_TOL))
+                    expected.append(harness._match_row(i, xcheck, iv, s, lhs, defect, DEFAULT_BOUND_TOL))
                     for pid, (pfamily, carries_q, _) in means_bounds.PROPOSITIONS.items():
                         if pfamily == family:
                             q_row = q if carries_q else None
